@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 from scipy.stats import chi2
 
-from .errors import ContractViolationError, DegenerateGeometryError
-from .kalman import GaussianState, LinearModel, kf_predict, kf_update
+from .errors import ContractViolationError
+from .kalman import GaussianState, LinearModel, _cholesky, kf_predict, kf_update
 
 __all__ = [
     "mahalanobis",
@@ -39,8 +39,9 @@ _W_HI = float(np.nextafter(1.0, 0.0))
 def mahalanobis(y, mu, cov) -> float:
     """Exact Mahalanobis distance sqrt((y-mu)^T cov^-1 (y-mu)).
 
-    ``cov`` must be symmetric positive definite; a singular matrix raises
-    DegenerateGeometryError.
+    The residual is whitened by the Cholesky factor of ``cov`` (lower triangle
+    read). A ``cov`` that fails to factor raises DegenerateGeometryError;
+    COND_LIMIT does not apply.
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -55,15 +56,8 @@ def mahalanobis(y, mu, cov) -> float:
         )
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
         raise ContractViolationError("non-finite input to mahalanobis")
-    q = y - mu
-    try:
-        factor = cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGeometryError(
-            "covariance is not positive definite", float(np.linalg.cond(cov))
-        ) from exc
-    d2 = float(q @ cho_solve(factor, q))
-    return float(np.sqrt(max(d2, 0.0)))
+    # LAPACK trtrs (solve_triangular without the wrapper's checks).
+    return float(np.linalg.norm(dtrtrs(_cholesky(cov), y - mu, lower=1)[0]))
 
 
 def mahalanobis_diag(y, mu, cov_diag) -> float:
@@ -207,19 +201,15 @@ class Expert:
         S = self.model.C @ pred.cov @ self.model.C.T + self.model.Rvv
         S = 0.5 * (S + S.T)
 
-        if y is not None:
-            y = np.asarray(y, dtype=float)
-            md = self._distance(y, mu, S)
-            w = local_weight(md, self.config.xi)
-            posterior, _, _ = kf_update(pred, self.model, y)
-            self.state = posterior
-            self.last_meas = y.copy()
-            self.misses = 0
-        else:
-            md = self._distance(self.last_meas, mu, S)
-            w = local_weight(md, self.config.xi)
+        scored = self.last_meas if y is None else np.asarray(y, dtype=float)
+        md = self._distance(scored, mu, S)
+        w = local_weight(md, self.config.xi)
+        if y is None:
             posterior = pred
-            self.state = pred
             self.misses += 1
-
+        else:
+            posterior, _, _ = kf_update(pred, self.model, scored)
+            self.last_meas = scored.copy()
+            self.misses = 0
+        self.state = posterior
         return ExpertReport(posterior, mu, S, md, w, self.frame)

@@ -24,7 +24,7 @@ from .kalman import (
     kf_predict,
     kf_update,
 )
-from .voting import VoteConfig, box_distance, vote_weight
+from .voting import VoteConfig, _nearest_peer, vote_weight
 
 __all__ = [
     "adapt_rvv",
@@ -151,24 +151,14 @@ class FusionCenter:
             if measurements[i] is not None and reports[i] is not None
         ]
 
-        w_d = np.full(n, np.nan)
-        if len(present) == 1:
-            # A lone detector has no peers to disagree with.
-            w_d[present[0]] = vote_weight(0.0, self.config.vote)
-        elif len(present) >= 2:
-            vecs = [np.asarray(measurements[i], dtype=float) for i in present]
-            for k, i in enumerate(present):
-                dmin = min(
-                    box_distance(vecs[k], vecs[j])
-                    for j in range(len(vecs)) if j != k
-                )
-                w_d[i] = vote_weight(dmin, self.config.vote)
-
         w_m = np.array([
             reports[i].w_M if reports[i] is not None else np.nan for i in range(n)
         ])
+        w_d = np.full(n, np.nan)
         scale = np.full(n, np.nan)
-        for i in present:
+        vecs = [np.asarray(measurements[i], dtype=float) for i in present]
+        for k, i in enumerate(present):
+            w_d[i] = vote_weight(_nearest_peer(vecs, k), self.config.vote)
             scale[i] = adapt_rvv(
                 w_d[i], w_m[i], self.gamma[i], self.delta[i], self.config.cov_floor
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
 from .errors import ContractViolationError, DegenerateGeometryError
 
@@ -24,8 +25,8 @@ __all__ = [
     "build_track_model",
 ]
 
-# Innovation covariances with condition numbers past this are treated as
-# singular rather than inverted.
+# kf_update refuses an innovation covariance whose Cholesky factor's squared
+# max/min diagonal ratio, never above the condition number, exceeds this.
 COND_LIMIT = 1e12
 
 # Symmetry/PSD construction tolerance, scaled by max(1, max|cov|) so that
@@ -130,6 +131,22 @@ class LinearModel:
         return self.C.shape[0]
 
 
+def _cholesky(S: np.ndarray, cond_limit: float = np.inf) -> np.ndarray:
+    """Lower Cholesky factor of ``S``. Raises DegenerateGeometryError, carrying
+    cond(S), if the factorisation fails or its squared diagonal ratio exceeds
+    ``cond_limit``; cond(S) is computed on that error path only."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        d = np.diagonal(L)
+        if (d.max() / d.min()) ** 2 <= cond_limit:
+            return L
+    cond = float(np.linalg.cond(S))
+    raise DegenerateGeometryError("covariance is not numerically positive definite", cond)
+
+
 def _trusted_state(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
     # Internal fast path: the filter equations preserve symmetry and PSD, so
     # states built from already-validated inputs skip re-validation.
@@ -174,10 +191,10 @@ def kf_predict(state: GaussianState, model: LinearModel, control=None) -> Gaussi
 def kf_update(state: GaussianState, model: LinearModel, y):
     """Measurement update; returns ``(posterior, innovation, innovation_cov)``.
 
-    The posterior covariance uses the Joseph stabilized form, keeping it
-    symmetric PSD regardless of gain rounding. A singular innovation
-    covariance (condition number past COND_LIMIT) raises
-    DegenerateGeometryError instead of producing garbage.
+    The gain comes from one Cholesky factor of the innovation covariance; a
+    covariance that fails to factor, or whose factor's squared diagonal ratio
+    exceeds COND_LIMIT, raises DegenerateGeometryError. The posterior uses the
+    Joseph stabilized form, keeping it symmetric PSD despite gain rounding.
     """
     if state.dim != model.state_dim:
         raise ContractViolationError(
@@ -194,12 +211,11 @@ def kf_update(state: GaussianState, model: LinearModel, y):
     C, P = model.C, state.cov
     S = C @ P @ C.T + model.Rvv
     S = 0.5 * (S + S.T)
-    cond = float(np.linalg.cond(S))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DegenerateGeometryError("innovation covariance is singular", cond)
+    L = _cholesky(S, COND_LIMIT)
 
     innovation = y - C @ state.mean
-    K = np.linalg.solve(S, C @ P).T
+    # LAPACK potrs (cho_solve without the wrapper's checks, which cost more).
+    K = dpotrs(L, C @ P, lower=1)[0].T
     mean = state.mean + K @ innovation
     I_KC = np.eye(state.dim) - K @ C
     cov = I_KC @ P @ I_KC.T + K @ model.Rvv @ K.T

@@ -321,9 +321,6 @@ class SimResult:
     def sensor_rmse(self) -> np.ndarray:
         return np.sqrt(np.mean((self.sensors - self.truth) ** 2, axis=1))
 
-    def expert_rmse(self) -> np.ndarray:
-        return np.sqrt(np.mean((self.experts - self.truth) ** 2, axis=1))
-
     def fused_rmse(self) -> float:
         return float(np.sqrt(np.mean((self.fused - self.truth) ** 2)))
 

@@ -89,7 +89,13 @@ def consensus_distance(boxes, i: int, scale=None) -> float:
         )
     if not (0 <= i < n):
         raise ContractViolationError(f"index {i} out of range for {n} boxes")
-    return min(box_distance(boxes[i], boxes[j], scale) for j in range(n) if j != i)
+    return _nearest_peer(boxes, i, scale)
+
+
+def _nearest_peer(boxes, i: int, scale=None) -> float:
+    # Nearest-peer distance of box i; a lone box has no peer to disagree with.
+    peers = (box_distance(boxes[i], boxes[j], scale) for j in range(len(boxes)) if j != i)
+    return min(peers, default=0.0)
 
 
 @dataclass(frozen=True)

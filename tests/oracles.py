@@ -158,3 +158,13 @@ def wls_mean(prior_mean, prior_cov, C_blocks, R_scales, y_blocks):
         info = info + C.T @ C / s
         vec = vec + C.T @ y / s
     return np.linalg.solve(info, vec)
+
+
+def spd_with_cond(rng, n, log_cond, log_scale):
+    """Random SPD matrix, eigenvalues spread over 10**[log_scale, log_scale + log_cond]
+    with both ends hit, so its condition number is 10**log_cond."""
+    Q, _ = np.linalg.qr(rng.normal(0, 1, (n, n)))
+    eig = 10.0 ** (log_scale + log_cond * rng.uniform(0, 1, n))
+    eig[0], eig[-1] = 10.0 ** log_scale, 10.0 ** (log_scale + log_cond)
+    cov = (Q * eig) @ Q.T
+    return 0.5 * (cov + cov.T)

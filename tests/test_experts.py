@@ -46,6 +46,22 @@ class TestMahalanobis:
         with pytest.raises(DegenerateGeometryError):
             mahalanobis([1.0, 0.0], [0.0, 0.0], np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_ignores_cond_limit(self):
+        # cond 1e13 is past kf_update's COND_LIMIT; the distance stays exact.
+        d = mahalanobis([1e-3, 2e3], [0.0, 0.0], np.diag([1e-7, 1e6]))
+        assert d == pytest.approx(np.sqrt(14.0), rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.floats(min_value=0.0, max_value=10.0),
+           st.floats(min_value=-6.0, max_value=6.0), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_inverse_oracle_up_to_cond_1e10(self, p, log_cond, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        cov = oracles.spd_with_cond(rng, p, log_cond, log_scale)
+        q = rng.normal(0, 1, p) * 10.0 ** (0.5 * log_scale)
+        expect = float(np.sqrt(q @ np.linalg.inv(cov) @ q))
+        # Either form loses up to cond * eps ~ 2e-6 relative at cond 1e10.
+        assert mahalanobis(q, np.zeros(p), cov) == pytest.approx(expect, rel=1e-5)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_rotation_invariance(self, seed):

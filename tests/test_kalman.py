@@ -141,6 +141,16 @@ class TestUpdate:
             kf_update(state, model, [1.0, 1.0])
         assert exc.value.condition > 1e12 or not np.isfinite(exc.value.condition)
 
+    def test_near_singular_stacked_update_still_refused(self):
+        # Two copies of one row: S has eigenvalues 2e7 and 1e-6 (cond 2e13).
+        # S still factors, so only the diagonal-ratio check can refuse it.
+        C, P, R = np.array([[1.0], [1.0]]), np.array([[1e7]]), 1e-6 * np.eye(2)
+        np.linalg.cholesky(C @ P @ C.T + R)
+        model = LinearModel(np.eye(1), np.zeros((1, 1)), C, np.zeros((1, 1)), R)
+        with pytest.raises(DegenerateGeometryError) as exc:
+            kf_update(GaussianState([0.0], P), model, [1.0, 1.0])
+        assert exc.value.condition > 1e12
+
     def test_update_never_inflates_observed_covariance(self):
         rng = np.random.default_rng(3)
         model = LinearModel(np.eye(3), np.zeros((3, 1)), np.eye(3),
@@ -226,3 +236,33 @@ class TestInvariantProperties:
             scale = max(1.0, float(np.abs(state.cov).max()))
             assert np.allclose(state.cov, state.cov.T, atol=tol * scale)
             assert np.linalg.eigvalsh(state.cov).min() >= -tol * scale
+
+
+@st.composite
+def stacked_center_update(draw):
+    # The fusion centre's stacked shape: m copies of the track C, noise
+    # diag(r_i I_4) with r_i over 1e-3..1e3, prior covariance cond up to 1e10.
+    m = draw(st.integers(min_value=1, max_value=8))
+    r = [10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)) for _ in range(m)]
+    log_cond = draw(st.floats(min_value=0.0, max_value=10.0))
+    log_scale = draw(st.floats(min_value=-6.0, max_value=4.0 - log_cond))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    base = build_track_model()
+    C = np.vstack([base.C] * m)
+    R = np.diag(np.repeat(r, base.meas_dim))
+    model = LinearModel(base.A, base.B, C, base.Rww, R)
+    state = GaussianState(rng.normal(0, 100, 8), oracles.spd_with_cond(rng, 8, log_cond, log_scale))
+    y = C @ state.mean + rng.normal(0, 10, C.shape[0])
+    return model, state, y
+
+
+class TestStackedUpdateOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_center_update())
+    def test_matches_inverse_oracle(self, bundle):
+        model, state, y = bundle
+        post, _, _ = kf_update(state, model, y)
+        mean, cov = oracles.naive_update(state.mean, state.cov, model.C, model.Rvv, y)
+        # cond(S) stays below ~1e8 here, so both solves agree far inside 1e-6.
+        assert np.allclose(post.mean, mean, rtol=1e-6, atol=1e-6)
+        assert np.allclose(post.cov, cov, rtol=0.0, atol=1e-6 * np.abs(state.cov).max())
