@@ -11,6 +11,7 @@ false-alarm rate on nominal data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,10 +55,12 @@ def mahalanobis(y, mu, cov) -> float:
         raise ContractViolationError(
             f"cov shape {cov.shape} does not match vector length {y.shape[0]}"
         )
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
+    if not (np.isfinite(y).all() and np.isfinite(mu).all() and np.isfinite(cov).all()):
         raise ContractViolationError("non-finite input to mahalanobis")
-    # LAPACK trtrs (solve_triangular without the wrapper's checks).
-    return float(np.linalg.norm(dtrtrs(_cholesky(cov), y - mu, lower=1)[0]))
+    # LAPACK trtrs (solve_triangular without the wrapper's checks); the norm
+    # is sqrt(z . z), exactly as np.linalg.norm computes it for a real vector.
+    z = dtrtrs(_cholesky(cov), y - mu, lower=1)[0]
+    return math.sqrt(z.dot(z))
 
 
 def mahalanobis_diag(y, mu, cov_diag) -> float:
@@ -74,11 +77,11 @@ def mahalanobis_diag(y, mu, cov_diag) -> float:
         raise ContractViolationError(
             f"mismatched shapes: y {y.shape}, mu {mu.shape}, cov_diag {c.shape}"
         )
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(c))):
+    if not (np.isfinite(y).all() and np.isfinite(mu).all() and np.isfinite(c).all()):
         raise ContractViolationError("non-finite input to mahalanobis_diag")
-    if np.any(c <= 0):
+    if (c <= 0).any():
         raise ContractViolationError("cov_diag entries must be strictly positive")
-    return float(np.sum(np.abs(y - mu) / np.sqrt(c)))
+    return float((np.abs(y - mu) / np.sqrt(c)).sum())
 
 
 def local_weight(md: float, xi: float) -> float:
@@ -87,9 +90,9 @@ def local_weight(md: float, xi: float) -> float:
     Equals 0.5 exactly at md == xi and increases strictly with md. Output is
     clamped into the open interval (0, 1) where float64 would saturate.
     """
-    if not np.isfinite(xi):
+    if not math.isfinite(xi):
         raise ContractViolationError(f"xi must be finite, got {xi}")
-    if np.isnan(md) or md < 0:
+    if math.isnan(md) or md < 0:
         raise ContractViolationError(f"md must be >= 0, got {md}")
     w = float(expit(md - xi))
     return min(max(w, _W_LO), _W_HI)
@@ -139,7 +142,7 @@ class ExpertReport:
     frame: int
 
     def __post_init__(self):
-        if not (self.md >= 0 and np.isfinite(self.md)):
+        if not (self.md >= 0 and math.isfinite(self.md)):
             raise ContractViolationError(f"md must be finite and >= 0, got {self.md}")
         if not (0.0 < self.w_M < 1.0):
             raise ContractViolationError(f"w_M must lie in (0, 1), got {self.w_M}")

@@ -11,6 +11,7 @@ none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +41,13 @@ __all__ = [
 def adapt_rvv(w_d: float, w_M: float, gamma: float = 1.0, delta: float = 1.0,
               cov_floor: float = 1e-6) -> float:
     """Adapted measurement variance: max(gamma * w_d + delta * w_M, cov_floor)."""
-    if not (np.isfinite(w_d) and w_d >= 0):
+    if not (math.isfinite(w_d) and w_d >= 0):
         raise ContractViolationError(f"w_d must be finite and >= 0, got {w_d}")
     if not (0.0 <= w_M <= 1.0):
         raise ContractViolationError(f"w_M must lie in [0, 1], got {w_M}")
-    if not (gamma > 0 and delta > 0 and np.isfinite(gamma) and np.isfinite(delta)):
+    if not (gamma > 0 and delta > 0 and math.isfinite(gamma) and math.isfinite(delta)):
         raise ContractViolationError(f"gamma/delta must be > 0, got {gamma}, {delta}")
-    if not (cov_floor > 0 and np.isfinite(cov_floor)):
+    if not (cov_floor > 0 and math.isfinite(cov_floor)):
         raise ContractViolationError(f"cov_floor must be > 0, got {cov_floor}")
     return float(max(gamma * w_d + delta * w_M, cov_floor))
 
@@ -80,7 +81,7 @@ class FusionConfig:
         out = []
         for name, val in (("gamma", self.gamma), ("delta", self.delta)):
             arr = np.broadcast_to(np.asarray(val, dtype=float), (n,)).copy()
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+            if not np.isfinite(arr).all() or (arr <= 0).any():
                 raise ContractViolationError(f"{name} entries must be > 0 and finite")
             out.append(arr)
         return out[0], out[1]
@@ -217,7 +218,11 @@ class Pipeline:
         return len(self.experts)
 
     def step(self, measurements) -> FusedEstimate | None:
-        """Feed one frame of per-detector measurements (None = absent)."""
+        """Feed one frame of per-detector measurements (None = absent).
+
+        The step is atomic: if it raises, every expert, the center and
+        ``last_reports`` are left exactly as they were before the call.
+        """
         if len(measurements) != len(self.experts):
             raise ContractViolationError(
                 f"expected {len(self.experts)} measurements, got {len(measurements)}"
@@ -226,8 +231,17 @@ class Pipeline:
             None if y is None else np.asarray(y, dtype=float)
             for y in measurements
         ]
-        self.last_reports = [e.step(y) for e, y in zip(self.experts, ys)]
-        return self.center.step(self.last_reports, ys)
+        # States are immutable values, so a snapshot is a set of references.
+        saved = [(e.state, e.last_meas, e.misses, e.frame) for e in self.experts]
+        saved_center = (self.center.state, self.center.frame, self.last_reports)
+        try:
+            self.last_reports = [e.step(y) for e, y in zip(self.experts, ys)]
+            return self.center.step(self.last_reports, ys)
+        except BaseException:
+            for e, s in zip(self.experts, saved):
+                e.state, e.last_meas, e.misses, e.frame = s
+            self.center.state, self.center.frame, self.last_reports = saved_center
+            raise
 
 
 def make_pipeline(n_detectors: int, model, config: FusionConfig | None = None,

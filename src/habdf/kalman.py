@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ContractViolationError, DegenerateGeometryError
 
@@ -38,7 +38,7 @@ def _as_matrix(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
         raise ContractViolationError(f"{name} must be a 2-D array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ContractViolationError(f"{name} contains non-finite entries")
     return a
 
@@ -72,7 +72,7 @@ class GaussianState:
         mean = np.asarray(self.mean, dtype=float)
         if mean.ndim != 1:
             raise ContractViolationError(f"mean must be 1-D, got ndim={mean.ndim}")
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise ContractViolationError("mean contains non-finite entries")
         cov = _check_psd(_as_matrix(self.cov, "cov"), "cov")
         if cov.shape[0] != mean.shape[0]:
@@ -132,18 +132,20 @@ class LinearModel:
 
 
 def _cholesky(S: np.ndarray, cond_limit: float = np.inf) -> np.ndarray:
-    """Lower Cholesky factor of ``S``. Raises DegenerateGeometryError, carrying
+    """Lower Cholesky factor of ``S`` (upper triangle zero; only the lower
+    triangle of ``S`` is read). Raises DegenerateGeometryError, carrying
     cond(S), if the factorisation fails or its squared diagonal ratio exceeds
-    ``cond_limit``; cond(S) is computed on that error path only."""
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        d = np.diagonal(L)
+    ``cond_limit``; cond(S) is computed on that error path only, and is inf
+    for an ``S`` with non-finite entries."""
+    # LAPACK potrf directly: np.linalg.cholesky's wrapper costs several times
+    # the 4x4 factorisation. OpenBLAS can pass a NaN with info 0; the NaN then
+    # reaches the diagonal, where the ratio test refuses it.
+    L, info = dpotrf(S, lower=1)
+    if info == 0:
+        d = L.diagonal()
         if (d.max() / d.min()) ** 2 <= cond_limit:
             return L
-    cond = float(np.linalg.cond(S))
+    cond = float(np.linalg.cond(S)) if np.isfinite(S).all() else np.inf
     raise DegenerateGeometryError("covariance is not numerically positive definite", cond)
 
 
@@ -181,7 +183,7 @@ def kf_predict(state: GaussianState, model: LinearModel, control=None) -> Gaussi
             raise ContractViolationError(
                 f"control shape {u.shape} != ({model.B.shape[1]},)"
             )
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ContractViolationError("control contains non-finite entries")
         mean = mean + model.B @ u
     cov = model.A @ state.cov @ model.A.T + model.Rww
@@ -205,7 +207,7 @@ def kf_update(state: GaussianState, model: LinearModel, y):
         raise ContractViolationError(
             f"measurement shape {y.shape} != ({model.meas_dim},)"
         )
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ContractViolationError("measurement contains non-finite entries")
 
     C, P = model.C, state.cov

@@ -12,6 +12,7 @@ use case steers a pan/tilt camera with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -82,9 +83,9 @@ def _zoh(natural_freq: float, damping: float, gain: float, dt: float):
 def plant_step(state, plant: SecondOrderPlant, u: float):
     """Advance one sample under held input ``u``; returns (new_state, output)."""
     x = np.asarray(state, dtype=float)
-    if x.shape != (2,) or not np.all(np.isfinite(x)):
+    if x.shape != (2,) or not np.isfinite(x).all():
         raise ContractViolationError(f"plant state must be a finite 2-vector, got {x}")
-    if not np.isfinite(u):
+    if not math.isfinite(u):
         raise ContractViolationError(f"input must be finite, got {u}")
     ad, bd = _zoh(plant.natural_freq, plant.damping, plant.gain, plant.dt)
     new = ad @ x + bd * u
@@ -167,7 +168,7 @@ def inject_faults(clean, profile: FaultProfile) -> np.ndarray:
     x = np.asarray(clean, dtype=float)
     if x.ndim != 1:
         raise ContractViolationError(f"clean signal must be 1-D, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ContractViolationError("clean signal contains non-finite entries")
     t = np.arange(x.shape[0])
     rng = np.random.default_rng(int(profile.seed))
@@ -212,7 +213,7 @@ def pid_step(error: float, state: PidState, gains: PidGains):
 
     Integral uses the trapezoid rule, derivative the backward difference.
     """
-    if not np.isfinite(error):
+    if not math.isfinite(error):
         raise ContractViolationError(f"error must be finite, got {error}")
     integral = state.integral + 0.5 * (error + state.prev_error) * gains.dt
     if gains.integral_limit is not None:

@@ -9,6 +9,7 @@ around ``lam`` and saturates instead of exploding. Like the expert weight,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class BoundingBox:
 
     def __post_init__(self):
         vals = (self.u, self.v, self.h, self.w)
-        if not all(np.isfinite(x) for x in vals):
+        if not all(math.isfinite(x) for x in vals):
             raise ContractViolationError(f"box fields must be finite, got {vals}")
         if self.h < 0 or self.w < 0:
             raise ContractViolationError(f"box sides must be >= 0, got h={self.h} w={self.w}")
@@ -52,7 +53,7 @@ def _vector(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ContractViolationError(f"{name} must be a nonempty vector")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ContractViolationError(f"{name} contains non-finite entries")
     return a
 
@@ -63,17 +64,29 @@ def box_distance(p, r, scale=None) -> float:
     Centers and sizes mix in raw pixels by design; pass ``scale`` (a
     positive 4-vector of divisors) to normalize dimensions, off by default.
     """
-    a = _vector(p, "p")
-    b = _vector(r, "r")
+    a = np.asarray(p, dtype=float)
+    b = np.asarray(r, dtype=float)
+    if scale is None and a.ndim == 1 and a.size and a.shape == b.shape:
+        # A non-finite entry in either box makes d . d non-finite, so one
+        # scalar test stands in for both array checks on the common path.
+        d = a - b
+        dd = d.dot(d)
+        if math.isfinite(dd):
+            return math.sqrt(dd)
+    # Full checks, each argument in turn; finite boxes whose squared distance
+    # overflows get here too and return inf.
+    a = _vector(a, "p")
+    b = _vector(b, "r")
     if a.shape != b.shape:
         raise ContractViolationError(f"mismatched box shapes {a.shape} vs {b.shape}")
     d = a - b
     if scale is not None:
         s = _vector(scale, "scale")
-        if s.shape != d.shape or np.any(s <= 0):
+        if s.shape != d.shape or (s <= 0).any():
             raise ContractViolationError("scale must be positive and match the boxes")
         d = d / s
-    return float(np.linalg.norm(d))
+    # sqrt(d . d) is exactly what np.linalg.norm computes for a real vector.
+    return math.sqrt(d.dot(d))
 
 
 def consensus_distance(boxes, i: int, scale=None) -> float:
@@ -120,6 +133,6 @@ def vote_weight(min_d: float, config: VoteConfig | None = None) -> float:
     min_d == lam.
     """
     cfg = config or VoteConfig()
-    if np.isnan(min_d) or min_d < 0:
+    if math.isnan(min_d) or min_d < 0:
         raise ContractViolationError(f"min_d must be >= 0, got {min_d}")
     return float(cfg.omega0 + cfg.omega * (1.0 + np.tanh(min_d - cfg.lam)))

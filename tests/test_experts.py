@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtrtrs
 
 import oracles
 from habdf import (
@@ -21,6 +22,7 @@ from habdf import (
     mahalanobis,
     mahalanobis_diag,
 )
+from habdf.kalman import _cholesky
 
 
 class TestMahalanobis:
@@ -61,6 +63,16 @@ class TestMahalanobis:
         expect = float(np.sqrt(q @ np.linalg.inv(cov) @ q))
         # Either form loses up to cond * eps ~ 2e-6 relative at cond 1e10.
         assert mahalanobis(q, np.zeros(p), cov) == pytest.approx(expect, rel=1e-5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.floats(min_value=0.0, max_value=10.0),
+           st.floats(min_value=-6.0, max_value=6.0), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_equals_norm_of_whitened_residual_bit_for_bit(self, p, log_cond, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        cov = oracles.spd_with_cond(rng, p, log_cond, log_scale)
+        y, mu = rng.normal(0, 100, p), rng.normal(0, 100, p)
+        z = dtrtrs(_cholesky(cov), y - mu, lower=1)[0]
+        assert mahalanobis(y, mu, cov) == float(np.linalg.norm(z))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -127,6 +139,14 @@ class TestLocalWeight:
     def test_negative_md_rejected(self):
         with pytest.raises(ContractViolationError):
             local_weight(-0.1, 1.0)
+
+    @pytest.mark.parametrize("num", [float, np.float64])
+    def test_guards_hold_for_python_and_numpy_scalars(self, num):
+        for md, xi in ((np.nan, 1.0), (-0.1, 1.0), (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)):
+            with pytest.raises(ContractViolationError):
+                local_weight(num(md), num(xi))
+        # An infinite distance is a valid, maximally distrusted reading.
+        assert local_weight(num(np.inf), num(1.0)) == float(np.nextafter(1.0, 0.0))
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=0.01, max_value=30.0),

@@ -52,6 +52,15 @@ class TestAdaptRvv:
         with pytest.raises(ContractViolationError):
             adapt_rvv(1.0, 0.5, cov_floor=0.0)
 
+    @pytest.mark.parametrize("num", [float, np.float64])
+    def test_guards_hold_for_python_and_numpy_scalars(self, num):
+        for bad in (np.nan, np.inf, -1.0):
+            for args in ((bad, 0.5, 1.0, 1.0, 1e-6), (1.0, bad, 1.0, 1.0, 1e-6),
+                         (1.0, 0.5, bad, 1.0, 1e-6), (1.0, 0.5, 1.0, bad, 1e-6),
+                         (1.0, 0.5, 1.0, 1.0, bad)):
+                with pytest.raises(ContractViolationError):
+                    adapt_rvv(*map(num, args))
+
 
 class TestFusionConfig:
     def test_scalar_gains_broadcast(self):
@@ -302,3 +311,51 @@ class TestPipeline:
             for p in est.per_detector:
                 if not np.isnan(p.rvv_scale):
                     assert p.rvv_scale >= cfg.cov_floor
+
+
+class TestAtomicStep:
+    """A frame that raises leaves the pipeline as if it had never been fed."""
+
+    @staticmethod
+    def frames(n_frames):
+        rng = np.random.default_rng(21)
+        truth = np.array([100.0, 80.0, 40.0, 30.0])
+        return [[truth + t + rng.normal(0, 3, 4) for _ in range(3)] for t in range(n_frames)]
+
+    @pytest.mark.parametrize("detector", [0, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_failed_frame_rolls_back_every_clock_and_state(self, bad, detector):
+        model = build_track_model(meas_var=9.0)
+        cfg = FusionConfig(vote=VoteConfig(omega0=1.0, omega=20.0, lam=50.0))
+        pipe, clean = make_pipeline(3, model, cfg), make_pipeline(3, model, cfg)
+        good = self.frames(5)
+        for boxes in good[:3]:
+            pipe.step(boxes)
+            clean.step(boxes)
+        before = [(e.state, e.last_meas, e.misses) for e in pipe.experts]
+        reports, center_state = pipe.last_reports, pipe.center.state
+
+        faulty = list(good[3])
+        faulty[detector] = np.array([bad, 100.0, 50.0, 40.0])
+        with np.errstate(all="ignore"), pytest.raises(ContractViolationError):
+            pipe.step(faulty)
+
+        assert [e.frame for e in pipe.experts] == [pipe.center.frame] * 3 == [2] * 3
+        for e, (state, last_meas, misses) in zip(pipe.experts, before):
+            assert e.state is state and e.last_meas is last_meas and e.misses == misses
+        assert pipe.last_reports is reports and pipe.center.state is center_state
+        for boxes in good[3:]:
+            got, want = pipe.step(boxes), clean.step(boxes)
+            assert got.frame == want.frame
+            assert np.array_equal(got.state.mean, want.state.mean)
+            assert np.array_equal(got.state.cov, want.state.cov)
+            assert got.per_detector == want.per_detector
+
+    def test_failed_first_frame_leaves_pipeline_unstarted(self):
+        pipe = make_pipeline(3, build_track_model())
+        boxes = self.frames(1)[0]
+        boxes[1] = np.array([np.nan, 100.0, 50.0, 40.0])
+        with pytest.raises(ContractViolationError):
+            pipe.step(boxes)
+        assert all(e.state is None and e.frame == -1 for e in pipe.experts)
+        assert pipe.center.state is None and pipe.center.frame == -1

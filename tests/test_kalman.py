@@ -16,6 +16,7 @@ from habdf import (
     kf_predict,
     kf_update,
 )
+from habdf.kalman import COND_LIMIT, _cholesky
 
 
 def random_model(rng, n, p):
@@ -158,6 +159,39 @@ class TestUpdate:
         state = random_state(rng, 3)
         post, _, _ = kf_update(state, model, rng.normal(0, 5, 3))
         assert np.trace(post.cov) <= np.trace(state.cov) + 1e-12
+
+
+class TestCholesky:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.floats(min_value=0.0, max_value=10.0),
+           st.floats(min_value=-6.0, max_value=6.0), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_lower_factor_matches_numpy_up_to_cond_1e10(self, n, log_cond, log_scale, seed):
+        S = oracles.spd_with_cond(np.random.default_rng(seed), n, log_cond, log_scale)
+        want = np.linalg.cholesky(S)
+        # Only the lower triangle is ever read. The two LAPACK builds may
+        # round differently; 1e-8 of the largest entry is far above that.
+        np.testing.assert_allclose(np.tril(_cholesky(S)), want, rtol=0.0,
+                                   atol=1e-8 * np.abs(want).max())
+
+    def test_indefinite_raises_with_finite_condition(self):
+        with pytest.raises(DegenerateGeometryError) as exc:
+            _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert exc.value.condition == pytest.approx(3.0, rel=1e-12)
+
+    def test_nan_raises_degenerate_geometry(self):
+        S = np.eye(4)
+        S[2, 1] = S[1, 2] = np.nan
+        with pytest.raises(DegenerateGeometryError) as exc:
+            _cholesky(S)
+        # No condition number exists for a matrix with NaN entries.
+        assert exc.value.condition == np.inf
+
+    def test_factor_ratio_above_limit_raises_with_finite_condition(self):
+        S = np.diag([1e-7, 1e6])  # squared diagonal ratio 1e13
+        _cholesky(S)  # no limit: factors
+        with pytest.raises(DegenerateGeometryError) as exc:
+            _cholesky(S, COND_LIMIT)
+        assert COND_LIMIT < exc.value.condition < np.inf
 
 
 class TestOneDimAgainstGridFilter:

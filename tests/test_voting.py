@@ -57,6 +57,46 @@ class TestBoxDistance:
         with pytest.raises(ContractViolationError):
             box_distance([0.0] * 4, [0.0] * 4, scale=[0.0, 1.0, 1.0, 1.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+        *[st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)] * 2,
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=n, max_size=n))))
+    def test_equals_linalg_norm_bit_for_bit(self, vecs):
+        p, r, s = (np.array(v) for v in vecs)
+        with np.errstate(over="ignore"):
+            assert box_distance(p, r) == float(np.linalg.norm(p - r))
+            assert box_distance(p, r, s) == float(np.linalg.norm((p - r) / s))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_names_the_argument(self, bad):
+        ok, nonfinite = [1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0]
+        with pytest.raises(ContractViolationError, match="^p contains non-finite entries$"):
+            box_distance(nonfinite, ok)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ContractViolationError, match="^p contains non-finite entries$"):
+            box_distance(nonfinite, nonfinite)
+        with pytest.raises(ContractViolationError, match="^r contains non-finite entries$"):
+            box_distance(ok, nonfinite)
+        with pytest.raises(ContractViolationError, match="^r contains non-finite entries$"):
+            box_distance(ok, nonfinite[:3])
+        with pytest.raises(ContractViolationError, match="^scale contains non-finite entries$"):
+            box_distance(ok, ok, scale=nonfinite)
+
+    def test_broadcastable_shapes_refused(self):
+        with pytest.raises(ContractViolationError, match=r"mismatched box shapes \(4,\) vs \(1,\)"):
+            box_distance([1.0, 2.0, 3.0, 4.0], [1.0])
+        with pytest.raises(ContractViolationError, match=r"mismatched box shapes \(1,\) vs \(4,\)"):
+            box_distance([1.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ContractViolationError, match="^r must be a nonempty vector$"):
+            box_distance([1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0, 4.0]])
+        with pytest.raises(ContractViolationError, match="^p must be a nonempty vector$"):
+            box_distance([], [])
+
+    def test_overflowing_finite_pair_is_infinite(self):
+        with np.errstate(over="ignore"):
+            assert box_distance([1e308, 0.0, 0.0, 0.0], [-1e308, 0.0, 0.0, 0.0]) == np.inf
+            assert box_distance([1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]) == np.inf
+
 
 class TestConsensusDistance:
     def test_pair_plus_far_detector(self):
@@ -109,6 +149,15 @@ class TestVoteWeight:
     def test_negative_distance_rejected(self):
         with pytest.raises(ContractViolationError):
             vote_weight(-1.0)
+
+    @pytest.mark.parametrize("num", [float, np.float64])
+    def test_guards_hold_for_python_and_numpy_scalars(self, num):
+        cfg = VoteConfig(omega0=1.0, omega=2.0, lam=10.0)
+        for bad in (np.nan, -1.0, -np.inf):
+            with pytest.raises(ContractViolationError):
+                vote_weight(num(bad), cfg)
+        # An infinite distance saturates at the top of the range.
+        assert vote_weight(num(np.inf), cfg) == 5.0
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(min_value=0.0, max_value=500.0),
