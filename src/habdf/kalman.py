@@ -25,8 +25,9 @@ __all__ = [
     "build_track_model",
 ]
 
-# kf_update refuses an innovation covariance whose Cholesky factor's squared
-# max/min diagonal ratio, never above the condition number, exceeds this.
+# An update (kf_update, or an expert's update frame) refuses an innovation
+# covariance whose Cholesky factor's squared max/min diagonal ratio, never
+# above the condition number, exceeds this.
 COND_LIMIT = 1e12
 
 # Symmetry/PSD construction tolerance, scaled by max(1, max|cov|) so that
@@ -190,6 +191,25 @@ def kf_predict(state: GaussianState, model: LinearModel, control=None) -> Gaussi
     return _trusted_state(mean, 0.5 * (cov + cov.T))
 
 
+def _innovation_cov(model: LinearModel, P: np.ndarray) -> np.ndarray:
+    """Symmetrised innovation covariance C P C^T + Rvv."""
+    S = model.C @ P @ model.C.T + model.Rvv
+    return 0.5 * (S + S.T)
+
+
+def _gain_update(state: GaussianState, model: LinearModel, y: np.ndarray, L: np.ndarray):
+    """Joseph-form posterior and innovation, given the lower Cholesky factor
+    ``L`` of the innovation covariance; no checks."""
+    C, P = model.C, state.cov
+    innovation = y - C @ state.mean
+    # LAPACK potrs (cho_solve without the wrapper's checks, which cost more).
+    K = dpotrs(L, C @ P, lower=1)[0].T
+    mean = state.mean + K @ innovation
+    I_KC = np.eye(state.dim) - K @ C
+    cov = I_KC @ P @ I_KC.T + K @ model.Rvv @ K.T
+    return _trusted_state(mean, 0.5 * (cov + cov.T)), innovation
+
+
 def kf_update(state: GaussianState, model: LinearModel, y):
     """Measurement update; returns ``(posterior, innovation, innovation_cov)``.
 
@@ -210,18 +230,9 @@ def kf_update(state: GaussianState, model: LinearModel, y):
     if not np.isfinite(y).all():
         raise ContractViolationError("measurement contains non-finite entries")
 
-    C, P = model.C, state.cov
-    S = C @ P @ C.T + model.Rvv
-    S = 0.5 * (S + S.T)
-    L = _cholesky(S, COND_LIMIT)
-
-    innovation = y - C @ state.mean
-    # LAPACK potrs (cho_solve without the wrapper's checks, which cost more).
-    K = dpotrs(L, C @ P, lower=1)[0].T
-    mean = state.mean + K @ innovation
-    I_KC = np.eye(state.dim) - K @ C
-    cov = I_KC @ P @ I_KC.T + K @ model.Rvv @ K.T
-    return _trusted_state(mean, 0.5 * (cov + cov.T)), innovation, S
+    S = _innovation_cov(model, state.cov)
+    posterior, innovation = _gain_update(state, model, y, _cholesky(S, COND_LIMIT))
+    return posterior, innovation, S
 
 
 def build_cv_model(n_axes: int, dt: float, accel_var: float, meas_var: float) -> LinearModel:

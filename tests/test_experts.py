@@ -18,6 +18,7 @@ from habdf import (
     build_track_model,
     chi2_xi,
     kf_predict,
+    kf_update,
     local_weight,
     mahalanobis,
     mahalanobis_diag,
@@ -274,6 +275,108 @@ class TestExpertStep:
         exp.step(None)
         exp.step([0.2])
         assert exp.state.cov[0, 0] < 10.0
+
+
+class TestAtomicExpertStep:
+    """A bare expert whose step raises is left exactly as before the call."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan, 2.0, 3.0, 4.0], "non-finite input to mahalanobis"),
+        ([1e308, 2.0, 3.0, 4.0], "md must be finite"),
+        ([1.0, 2.0, 3.0], "y and mu must be matching vectors"),
+    ])
+    def test_bad_reading_leaves_every_field_and_later_steps_untouched(self, bad, message):
+        model = build_track_model(meas_var=9.0)
+        exp, twin = Expert(model), Expert(model)
+        good = [np.array([100.0, 80.0, 40.0, 30.0]) + t for t in range(5)]
+        for y in (good[0], good[1], None):
+            exp.step(y)
+            twin.step(y)
+        state, last_meas, misses, frame = exp.state, exp.last_meas, exp.misses, exp.frame
+        assert misses == 1
+
+        with np.errstate(all="ignore"), pytest.raises(ContractViolationError, match=message):
+            exp.step(np.array(bad))
+
+        assert exp.state is state and exp.last_meas is last_meas
+        assert exp.misses == misses and exp.frame == frame
+        for y in good[2:]:
+            got, want = exp.step(y), twin.step(y)
+            assert (got.frame, got.md, got.w_M) == (want.frame, want.md, want.w_M)
+            assert np.array_equal(got.posterior.mean, want.posterior.mean)
+            assert np.array_equal(got.posterior.cov, want.posterior.cov)
+
+
+def replay_public(model, config, init_var, stale_after, readings):
+    """Expert.step's frame logic replayed through the public two-factor path:
+    kf_predict, then mahalanobis or mahalanobis_diag, then kf_update. Yields
+    (md, w_M, innovation_cov, predicted state, posterior) per reported frame."""
+    state, last, misses = None, None, 0
+    for y in readings:
+        if state is None:
+            if y is None:
+                yield None
+                continue
+            state = GaussianState(model.C.T @ y, init_var * np.eye(model.state_dim))
+        elif y is not None and misses >= stale_after:
+            state = GaussianState(state.mean, init_var * np.eye(model.state_dim))
+        pred = kf_predict(state, model)
+        mu = model.C @ pred.mean
+        S = model.C @ pred.cov @ model.C.T + model.Rvv
+        S = 0.5 * (S + S.T)
+        scored = last if y is None else y
+        if config.use_diag_approx:
+            md = mahalanobis_diag(scored, mu, np.diag(S))
+        else:
+            md = mahalanobis(scored, mu, S)
+        if y is None:
+            state, misses = pred, misses + 1
+        else:
+            state, _, S = kf_update(pred, model, y)
+            last, misses = y, 0
+        yield md, local_weight(md, config.xi), S, pred, state
+
+
+class TestOneFactorShortcut:
+    """Expert.step scores and updates from one factor of one innovation
+    covariance; the result equals the public two-factor path bit for bit."""
+
+    STALE = 3
+
+    @pytest.mark.parametrize("diag", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        gaps=st.lists(st.integers(0, 2 * STALE), min_size=2, max_size=12),
+        outlier_sigma=st.floats(0.0, 50.0),
+    )
+    def test_reports_equal_public_path_and_naive_oracle(self, diag, seed, gaps, outlier_sigma):
+        model = build_track_model(dt=1.0, accel_var=0.5, meas_var=9.0)
+        config = ExpertConfig(use_diag_approx=diag)
+        rng = np.random.default_rng(seed)
+        gaps[len(gaps) // 2] = self.STALE + 1  # one gap past stale_after
+        readings = []
+        for gap in gaps:
+            readings += [None] * gap
+            y = np.array([300.0, 200.0, 80.0, 60.0]) + rng.normal(0.0, 3.0, 4)
+            readings.append(y + outlier_sigma * 3.0 * rng.standard_normal(4))
+
+        exp = Expert(model, config, init_var=1e4, stale_after=self.STALE)
+        for y, want in zip(readings, replay_public(model, config, 1e4, self.STALE, readings)):
+            got = exp.step(y)
+            if want is None:
+                assert got is None
+                continue
+            md, w_M, S, pred, post = want
+            assert (got.md, got.w_M) == (md, w_M)
+            assert np.array_equal(got.innovation_cov, S)
+            assert np.array_equal(got.posterior.mean, post.mean)
+            assert np.array_equal(got.posterior.cov, post.cov)
+            if y is not None:
+                mean, cov = oracles.naive_update(pred.mean, pred.cov, model.C, model.Rvv, y)
+                scale = np.abs(cov).max()
+                assert np.allclose(got.posterior.mean, mean, rtol=1e-9, atol=1e-9 * np.abs(mean).max())
+                assert np.allclose(got.posterior.cov, cov, rtol=1e-6, atol=1e-9 * scale)
 
 
 class TestCalibration:

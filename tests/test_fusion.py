@@ -6,6 +6,7 @@ import pytest
 import oracles
 from habdf import (
     ContractViolationError,
+    DegenerateGeometryError,
     Expert,
     ExpertConfig,
     ExpertReport,
@@ -13,11 +14,13 @@ from habdf import (
     FusionConfig,
     GaussianState,
     InsufficientDetectorsError,
+    LinearModel,
     VoteConfig,
     adapt_rvv,
     build_track_model,
     make_pipeline,
 )
+from habdf.kalman import COND_LIMIT
 
 W_HI = float(np.nextafter(1.0, 0.0))
 
@@ -359,3 +362,33 @@ class TestAtomicStep:
             pipe.step(boxes)
         assert all(e.state is None and e.frame == -1 for e in pipe.experts)
         assert pipe.center.state is None and pipe.center.frame == -1
+
+    @pytest.mark.parametrize("diag", [False, True])
+    def test_cond_limit_refuses_update_frames_only(self, diag):
+        # Every axis is measured almost exactly; the last one also gains 1e6
+        # of process variance a frame. From frame 1 on, each expert's
+        # innovation covariance factors, but its squared diagonal ratio is
+        # past COND_LIMIT.
+        model = LinearModel(np.eye(4), np.zeros((4, 1)), np.eye(4),
+                            np.diag([0.0, 0.0, 0.0, 1e6]), 1e-8 * np.eye(4))
+        boxes = [np.array([100.0, 80.0, 40.0, 30.0])] * 3
+        cfg = FusionConfig(expert=ExpertConfig(use_diag_approx=diag))
+        coasting, updating = make_pipeline(3, model, cfg), make_pipeline(3, model, cfg)
+        coasting.step(boxes)
+        updating.step(boxes)
+
+        assert coasting.step([None] * 3).coasting
+        for rep in coasting.last_reports:
+            d = np.linalg.cholesky(rep.innovation_cov).diagonal()
+            assert (d.max() / d.min()) ** 2 > COND_LIMIT
+            assert np.isfinite(rep.md)
+
+        before = [(e.state, e.last_meas, e.misses, e.frame) for e in updating.experts]
+        reports, center_state = updating.last_reports, updating.center.state
+        with pytest.raises(DegenerateGeometryError):
+            updating.step(boxes)
+        for e, (state, last_meas, misses, frame) in zip(updating.experts, before):
+            assert e.state is state and e.last_meas is last_meas
+            assert (e.misses, e.frame) == (misses, frame)
+        assert updating.last_reports is reports
+        assert updating.center.state is center_state and updating.center.frame == 0
