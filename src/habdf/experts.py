@@ -46,9 +46,13 @@ def _residual(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"y and mu must be matching vectors, got {y.shape} and {mu.shape}"
         )
-    if not (np.isfinite(y).all() and np.isfinite(mu).all()):
+    r = y - mu
+    # A non-finite entry in either vector makes r . r non-finite, so one scalar
+    # test stands in for both array checks, as in box_distance. Finite vectors
+    # whose r . r overflows pass the full checks.
+    if not math.isfinite(r.dot(r)) and not (np.isfinite(y).all() and np.isfinite(mu).all()):
         raise ContractViolationError("non-finite input to mahalanobis")
-    return y - mu
+    return r
 
 
 def _whitened_norm(L: np.ndarray, r: np.ndarray) -> float:
@@ -216,11 +220,11 @@ class Expert:
 
         pred = kf_predict(state, model)
         mu = model.C @ pred.mean
-        S = _innovation_cov(model, pred.cov)
+        S, CP = _innovation_cov(model, pred.cov)
         scored = self.last_meas if y is None else y
         if self.config.use_diag_approx:
             md = mahalanobis_diag(scored, mu, np.diag(S))
-            L = None if y is None else _cholesky(S, COND_LIMIT)
+            r, L = (None, None) if y is None else (y - mu, _cholesky(S, COND_LIMIT))
         else:
             r = _residual(scored, mu)
             L = _cholesky(S, np.inf if y is None else COND_LIMIT)
@@ -229,7 +233,8 @@ class Expert:
         if y is None:
             posterior, last_meas, misses = pred, self.last_meas, self.misses + 1
         else:
-            posterior, _ = _gain_update(pred, model, y, L)
+            # On an update frame the scored residual is the innovation.
+            posterior = _gain_update(pred, model, r, CP, L)
             last_meas, misses = y.copy(), 0
         report = ExpertReport(posterior, mu, S, md, w, frame)
         self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame

@@ -128,6 +128,9 @@ class FusionCenter:
         self.config = config or FusionConfig()
         self.gamma, self.delta = self.config.gains(n_detectors)
         self.init_cov = init_var * np.eye(model.state_dim)
+        # One copy of C per detector; a frame with m present uses the first m.
+        self._c_stack = np.vstack([model.C] * n_detectors)
+        self._c_stack.flags.writeable = False
         self.state: GaussianState | None = None
         self.frame = -1
 
@@ -138,9 +141,10 @@ class FusionCenter:
         measurements (the raw per-detector readings or None). Voting runs on
         the raw readings; the stacked measurement vector carries the experts'
         positional estimates. Returns None until the first frame with any
-        detector present.
+        detector present. A step that raises leaves the center exactly as it
+        was.
         """
-        self.frame += 1
+        frame = self.frame + 1
         n = self.n_detectors
         if len(reports) != n or len(measurements) != n:
             raise ContractViolationError(
@@ -164,33 +168,35 @@ class FusionCenter:
                 w_d[i], w_m[i], self.gamma[i], self.delta[i], self.config.cov_floor
             )
 
-        if self.state is None:
+        state = self.state
+        if state is None:
             if not present:
+                self.frame = frame
                 return None
             parts = [self.model.C @ reports[i].posterior.mean for i in present]
             mean0 = self.model.C.T @ np.mean(parts, axis=0)
-            self.state = GaussianState(mean0, self.init_cov)
+            state = GaussianState(mean0, self.init_cov)
 
-        pred = kf_predict(self.state, self.model)
+        pred = kf_predict(state, self.model)
         per = tuple(PerDetector(w_d[i], w_m[i], scale[i]) for i in range(n))
 
         if not present:
-            self.state = pred
-            return FusedEstimate(pred, per, self.frame, coasting=True)
+            self.state, self.frame = pred, frame
+            return FusedEstimate(pred, per, frame, coasting=True)
 
         p = self.model.meas_dim
-        c_stack = np.vstack([self.model.C] * len(present))
         y_stack = np.concatenate(
             [self.model.C @ reports[i].posterior.mean for i in present]
         )
         r_stack = np.diag(np.repeat(scale[present], p))
         # Assembled from validated pieces: PD by the floor, shapes by stacking.
         stacked = _trusted_model(
-            self.model.A, self.model.B, c_stack, self.model.Rww, r_stack
+            self.model.A, self.model.B, self._c_stack[:len(present) * p],
+            self.model.Rww, r_stack,
         )
         post, _, _ = kf_update(pred, stacked, y_stack)
-        self.state = post
-        return FusedEstimate(post, per, self.frame, coasting=False)
+        self.state, self.frame = post, frame
+        return FusedEstimate(post, per, frame, coasting=False)
 
 
 class Pipeline:

@@ -10,6 +10,7 @@ instance for bounding-box tracks ``(u, v, h, w)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -191,23 +192,33 @@ def kf_predict(state: GaussianState, model: LinearModel, control=None) -> Gaussi
     return _trusted_state(mean, 0.5 * (cov + cov.T))
 
 
-def _innovation_cov(model: LinearModel, P: np.ndarray) -> np.ndarray:
-    """Symmetrised innovation covariance C P C^T + Rvv."""
-    S = model.C @ P @ model.C.T + model.Rvv
-    return 0.5 * (S + S.T)
+def _innovation_cov(model: LinearModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrised innovation covariance C P C^T + Rvv, and the C P it forms."""
+    CP = model.C @ P
+    S = CP @ model.C.T + model.Rvv
+    return 0.5 * (S + S.T), CP
 
 
-def _gain_update(state: GaussianState, model: LinearModel, y: np.ndarray, L: np.ndarray):
-    """Joseph-form posterior and innovation, given the lower Cholesky factor
-    ``L`` of the innovation covariance; no checks."""
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """Read-only n x n identity, built once per state dimension."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _gain_update(state: GaussianState, model: LinearModel, innovation: np.ndarray,
+                 CP: np.ndarray, L: np.ndarray) -> GaussianState:
+    """Joseph-form posterior from the innovation ``y - C m``, the product
+    ``C P`` and the lower Cholesky factor ``L`` of the innovation covariance;
+    no checks."""
     C, P = model.C, state.cov
-    innovation = y - C @ state.mean
     # LAPACK potrs (cho_solve without the wrapper's checks, which cost more).
-    K = dpotrs(L, C @ P, lower=1)[0].T
+    K = dpotrs(L, CP, lower=1)[0].T
     mean = state.mean + K @ innovation
-    I_KC = np.eye(state.dim) - K @ C
+    I_KC = _eye(state.dim) - K @ C
     cov = I_KC @ P @ I_KC.T + K @ model.Rvv @ K.T
-    return _trusted_state(mean, 0.5 * (cov + cov.T)), innovation
+    return _trusted_state(mean, 0.5 * (cov + cov.T))
 
 
 def kf_update(state: GaussianState, model: LinearModel, y):
@@ -230,8 +241,9 @@ def kf_update(state: GaussianState, model: LinearModel, y):
     if not np.isfinite(y).all():
         raise ContractViolationError("measurement contains non-finite entries")
 
-    S = _innovation_cov(model, state.cov)
-    posterior, innovation = _gain_update(state, model, y, _cholesky(S, COND_LIMIT))
+    S, CP = _innovation_cov(model, state.cov)
+    innovation = y - model.C @ state.mean
+    posterior = _gain_update(state, model, innovation, CP, _cholesky(S, COND_LIMIT))
     return posterior, innovation, S
 
 

@@ -10,6 +10,7 @@ typed. Unknown keys are rejected outright to prevent silent misconfiguration.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -100,7 +101,7 @@ def _parse_float(path: str, row_no: int, name: str, raw: str) -> float:
         v = float(raw)
     except ValueError:
         raise RecordFormatError(f"{path}: row {row_no}: bad {name} value {raw!r}") from None
-    if np.isnan(v) or np.isinf(v):
+    if not math.isfinite(v):
         raise RecordFormatError(f"{path}: row {row_no}: {name} must be finite, got {raw!r}")
     return v
 

@@ -189,6 +189,36 @@ class TestFuse:
         for frame, box in boxes.items():
             assert np.abs(box.as_array() - target).max() < 1.0
 
+    def test_huge_box_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # A finite 1e308 box passes the reader; the frame that scores it is
+        # refused by the expert, and the run stops before any output.
+        path = str(tmp_path / "huge.csv")
+        recs = [
+            TrackRecord(t, d, *((1e308, 50.0, 40.0, 30.0) if (t, d) == (10, "b")
+                                else (100.0, 50.0, 40.0, 30.0)), True)
+            for t in range(20) for d in ("a", "b", "c")
+        ]
+        write_track_csv(path, recs)
+        out = tmp_path / "fused.csv"
+        with np.errstate(all="ignore"):
+            rc = main(["fuse", path, "--config", self.write_cfg(tmp_path), "--out", str(out)])
+        assert rc == 1
+        assert "md must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_cell_exit_2_naming_its_row(self, tmp_path, capsys, cell):
+        path = tmp_path / "nonfinite.csv"
+        rows = [f"{t},{d},100,50,40,30,true" for t in range(3) for d in "abc"]
+        rows[4] = f"1,b,100,{cell},40,30,true"
+        path.write_text("frame,detector_id,u,v,h,w,valid\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "fused.csv"
+        rc = main(["fuse", str(path), "--config", self.write_cfg(tmp_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "row 6" in err and "v must be finite" in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_perfect_agreement_scores_one(self, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from habdf import (
@@ -13,6 +15,7 @@ from habdf import (
     FusionCenter,
     FusionConfig,
     GaussianState,
+    HabdfError,
     InsufficientDetectorsError,
     LinearModel,
     VoteConfig,
@@ -392,3 +395,109 @@ class TestAtomicStep:
             assert (e.misses, e.frame) == (misses, frame)
         assert updating.last_reports is reports
         assert updating.center.state is center_state and updating.center.frame == 0
+
+
+class TestAtomicCenterStep:
+    """A bare FusionCenter.step that raises leaves the center as it was."""
+
+    BOX = [100.0, 80.0, 40.0, 30.0]
+
+    def test_wrong_report_count_leaves_clock_and_state(self):
+        model = build_track_model()
+        fc, twin = FusionCenter(model, 3), FusionCenter(model, 3)
+        reports = [make_report(model, self.BOX)] * 3
+        with pytest.raises(ContractViolationError, match="expected 3 reports"):
+            fc.step(reports[:2], [self.BOX] * 2)
+        assert fc.frame == -1 and fc.state is None
+
+        fc.step(reports, [self.BOX] * 3)
+        twin.step(reports, [self.BOX] * 3)
+        state = fc.state
+        with pytest.raises(ContractViolationError, match="expected 3 reports"):
+            fc.step(reports, [self.BOX] * 2)
+        assert fc.frame == 0 and fc.state is state
+        got, want = fc.step(reports, [self.BOX] * 3), twin.step(reports, [self.BOX] * 3)
+        assert got.frame == want.frame == 1
+        assert np.array_equal(got.state.mean, want.state.mean)
+        assert np.array_equal(got.state.cov, want.state.cov)
+
+    def test_failed_first_update_leaves_center_unstarted(self):
+        # A prior variance of 1e14 against detector noise near 1 puts the
+        # stacked innovation covariance's squared diagonal ratio past COND_LIMIT.
+        model = build_track_model()
+        fc = FusionCenter(model, 3, init_var=1e14)
+        reports = [make_report(model, self.BOX)] * 3
+        with pytest.raises(DegenerateGeometryError):
+            fc.step(reports, [self.BOX] * 3)
+        assert fc.frame == -1 and fc.state is None
+
+
+FAULTS = ("ok", "missing", "nan", "inf", "huge", "frozen")
+
+
+@st.composite
+def fault_sequence(draw):
+    """Per frame, at most one detector misbehaves: absent, NaN, inf, 1e308 or
+    frozen at its last good reading."""
+    n_frames = draw(st.integers(min_value=1, max_value=25))
+    frames = [
+        (draw(st.sampled_from(FAULTS)), draw(st.integers(min_value=0, max_value=2)))
+        for _ in range(n_frames)
+    ]
+    return draw(st.integers(min_value=0, max_value=2**32 - 1)), frames
+
+
+class TestFaultSequenceProperty:
+    """ROADMAP's robustness rule over random single-detector fault sequences:
+    each step returns a finite estimate or raises with all state unchanged,
+    every frame clock agrees, and a pipeline that raised goes on exactly like
+    one that never saw the refused frames."""
+
+    @staticmethod
+    def snapshot(pipe):
+        experts = [(e.state, e.last_meas, e.misses, e.frame) for e in pipe.experts]
+        return experts, pipe.center.state, pipe.center.frame, pipe.last_reports
+
+    @settings(max_examples=40, deadline=None)
+    @given(fault_sequence())
+    def test_step_is_finite_or_refused_unchanged(self, bundle):
+        seed, frames = bundle
+        rng = np.random.default_rng(seed)
+        model = build_track_model(meas_var=9.0)
+        cfg = FusionConfig(stale_after=3, vote=VoteConfig(omega0=1.0, omega=20.0, lam=50.0))
+        pipe, twin = make_pipeline(3, model, cfg), make_pipeline(3, model, cfg)
+        truth = np.array([200.0, 150.0, 60.0, 40.0])
+        last_good = [None] * 3
+        for t, (fault, det) in enumerate(frames):
+            boxes = [truth + t + rng.normal(0, 3, 4) for _ in range(3)]
+            bad = {"missing": None, "frozen": last_good[det],
+                   "nan": np.array([np.nan, 1.0, 1.0, 1.0]),
+                   "inf": np.array([150.0, np.inf, 50.0, 40.0]),
+                   "huge": np.array([1e308, 100.0, 50.0, 40.0])}
+            if fault != "ok":
+                boxes[det] = bad[fault]
+            experts, state, frame, reports = self.snapshot(pipe)
+            try:
+                # 1e308 and inf readings overflow, or meet zeros, in products.
+                with np.errstate(all="ignore"):
+                    est = pipe.step(boxes)
+                    want = twin.step(boxes)
+            except HabdfError:
+                now = self.snapshot(pipe)
+                for (s1, m1, k1, f1), (s0, m0, k0, f0) in zip(now[0], experts):
+                    assert s1 is s0 and m1 is m0 and (k1, f1) == (k0, f0)
+                assert now[1] is state and now[2] == frame and now[3] is reports
+            else:
+                if est is None:
+                    assert want is None
+                else:
+                    assert np.isfinite(est.state.mean).all()
+                    assert np.isfinite(est.state.cov).all()
+                    assert np.array_equal(est.state.mean, want.state.mean)
+                    assert np.array_equal(est.state.cov, want.state.cov)
+                    weights = [[(p.w_d, p.w_M, p.rvv_scale) for p in e.per_detector]
+                               for e in (est, want)]
+                    assert np.array_equal(*weights, equal_nan=True)
+                last_good = [b if b is not None and np.isfinite(b).all() and abs(b).max() < 1e6
+                             else g for b, g in zip(boxes, last_good)]
+            assert len({e.frame for e in pipe.experts} | {pipe.center.frame}) == 1

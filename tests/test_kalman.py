@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 import oracles
 from habdf import (
@@ -151,6 +152,34 @@ class TestUpdate:
         with pytest.raises(DegenerateGeometryError) as exc:
             kf_update(GaussianState([0.0], P), model, [1.0, 1.0])
         assert exc.value.condition > 1e12
+
+    @pytest.mark.parametrize("n, p, copies", [(2, 1, 1), (8, 4, 1), (8, 4, 3), (6, 2, 5)])
+    def test_equals_joseph_form_written_out_bit_for_bit(self, n, p, copies):
+        # The update reuses C P, the innovation and a cached identity; the
+        # result must equal the textbook sequence, product for product.
+        rng = np.random.default_rng(n * 100 + p * 10 + copies)
+        base = random_model(rng, n, p)
+        C = np.vstack([base.C] * copies)
+        R = np.diag(rng.uniform(0.1, 10.0, p * copies))
+        model = LinearModel(base.A, base.B, C, base.Rww, R)
+        state = random_state(rng, n)
+        for _ in range(5):
+            state = kf_predict(state, model)
+            y = C @ state.mean + rng.normal(0, 3, C.shape[0])
+            m, P = state.mean, state.cov
+            innovation = y - C @ m
+            S = C @ P @ C.T + R
+            S = 0.5 * (S + S.T)
+            K = cho_solve(cho_factor(S, lower=True), C @ P).T
+            I_KC = np.eye(n) - K @ C
+            cov = I_KC @ P @ I_KC.T + K @ R @ K.T
+
+            post, got_innovation, got_S = kf_update(state, model, y)
+            assert np.array_equal(got_innovation, innovation)
+            assert np.array_equal(got_S, S)
+            assert np.array_equal(post.mean, m + K @ innovation)
+            assert np.array_equal(post.cov, 0.5 * (cov + cov.T))
+            state = post
 
     def test_update_never_inflates_observed_covariance(self):
         rng = np.random.default_rng(3)
