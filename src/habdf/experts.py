@@ -20,8 +20,8 @@ from scipy.special import expit
 from scipy.stats import chi2
 
 from .errors import ContractViolationError
-from .kalman import (COND_LIMIT, GaussianState, LinearModel, _cholesky, _gain_update,
-                     _innovation_cov, kf_predict)
+from .kalman import (COND_LIMIT, GaussianState, LinearModel, _cholesky, _cv_predict,
+                     _cv_state, _cv_update, _eye, _gain_update, _innovation_cov, kf_predict)
 # Not called here; perfbench/tests/test_bench.py::TestTracer asserts it is patched here.
 from .kalman import kf_update  # noqa: F401
 
@@ -40,19 +40,21 @@ _W_LO = 1e-300
 _W_HI = float(np.nextafter(1.0, 0.0))
 
 
-def _residual(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """``y - mu`` after mahalanobis's checks on the two vectors."""
+def _residual(y: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """``y - mu`` and its squared norm, after mahalanobis's checks on the two
+    vectors."""
     if y.shape != mu.shape or y.ndim != 1:
         raise ContractViolationError(
             f"y and mu must be matching vectors, got {y.shape} and {mu.shape}"
         )
     r = y - mu
+    rr = r.dot(r)
     # A non-finite entry in either vector makes r . r non-finite, so one scalar
     # test stands in for both array checks, as in box_distance. Finite vectors
     # whose r . r overflows pass the full checks.
-    if not math.isfinite(r.dot(r)) and not (np.isfinite(y).all() and np.isfinite(mu).all()):
+    if not math.isfinite(rr) and not (np.isfinite(y).all() and np.isfinite(mu).all()):
         raise ContractViolationError("non-finite input to mahalanobis")
-    return r
+    return r, rr
 
 
 def _whitened_norm(L: np.ndarray, r: np.ndarray) -> float:
@@ -70,7 +72,7 @@ def mahalanobis(y, mu, cov) -> float:
     read). A ``cov`` that fails to factor raises DegenerateGeometryError;
     COND_LIMIT does not apply.
     """
-    r = _residual(np.asarray(y, dtype=float), np.asarray(mu, dtype=float))
+    r, _ = _residual(np.asarray(y, dtype=float), np.asarray(mu, dtype=float))
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (r.shape[0], r.shape[0]):
         raise ContractViolationError(
@@ -198,10 +200,15 @@ class Expert:
 
         Returns None until the first measurement arrives; afterwards always
         returns a report, coasting included. A step that raises leaves the
-        expert exactly as it was. One Cholesky factor of the innovation
-        covariance gives both the score and the gain. An update frame factors
-        under COND_LIMIT, as kf_update does; a coast frame factors with no
-        limit, as mahalanobis does, or not at all on the diagonal approximation.
+        expert exactly as it was.
+
+        A model from ``build_cv_model`` is filtered on its 2x2 axis block in
+        closed form: the innovation covariance is ``s I_k``, so
+        ``md = |y - mu| / sqrt(s)``. Every other model takes the general path,
+        where one Cholesky factor of the innovation covariance gives both the
+        score and the gain. An update frame factors under COND_LIMIT, as
+        kf_update does; a coast frame factors with no limit, as mahalanobis
+        does, or not at all on the diagonal approximation.
         """
         frame = self.frame + 1
         state, model = self.state, self.model
@@ -218,24 +225,46 @@ class Expert:
             self.frame = frame
             return None
 
-        pred = kf_predict(state, model)
-        mu = model.C @ pred.mean
-        S, CP = _innovation_cov(model, pred.cov)
-        scored = self.last_meas if y is None else y
-        if self.config.use_diag_approx:
-            md = mahalanobis_diag(scored, mu, np.diag(S))
-            r, L = (None, None) if y is None else (y - mu, _cholesky(S, COND_LIMIT))
+        scored, block = (self.last_meas if y is None else y), model._cv_block
+        if block is None:
+            posterior, mu, S, md = self._filter(state, scored, y)
         else:
-            r = _residual(scored, mu)
-            L = _cholesky(S, np.inf if y is None else COND_LIMIT)
-            md = _whitened_norm(L, r)
+            posterior, mu, S, md = self._filter_cv(block, state, scored, y)
         w = local_weight(md, self.config.xi)
         if y is None:
-            posterior, last_meas, misses = pred, self.last_meas, self.misses + 1
+            last_meas, misses = self.last_meas, self.misses + 1
         else:
-            # On an update frame the scored residual is the innovation.
-            posterior = _gain_update(pred, model, r, CP, L)
             last_meas, misses = y.copy(), 0
         report = ExpertReport(posterior, mu, S, md, w, frame)
         self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame
         return report
+
+    def _filter(self, state, scored, y):
+        """General path: predict, score ``scored``, update on ``y`` if given.
+        Returns ``(posterior, mu, S, md)``."""
+        model = self.model
+        pred = kf_predict(state, model)
+        mu = model.C @ pred.mean
+        S, CP = _innovation_cov(model, pred.cov)
+        if self.config.use_diag_approx:
+            md = mahalanobis_diag(scored, mu, np.diag(S))
+            r, L = (None, None) if y is None else (y - mu, _cholesky(S, COND_LIMIT))
+        else:
+            r, _ = _residual(scored, mu)
+            L = _cholesky(S, np.inf if y is None else COND_LIMIT)
+            md = _whitened_norm(L, r)
+        # On an update frame the scored residual is the innovation.
+        return (pred if y is None else _gain_update(pred, model, r, CP, L)), mu, S, md
+
+    def _filter_cv(self, b, state, scored, y):
+        """The same frame on the axis block ``b`` of a CV model, in closed form.
+        Only the block of ``state`` is read: its covariance is ``P2 (x) I_k``,
+        since it is ``init_cov`` or a state this method built."""
+        m0, m1, P, s = _cv_predict(b, state)
+        r, rr = _residual(scored, m0)
+        if self.config.use_diag_approx:
+            md = float(np.abs(r).sum()) / math.sqrt(s)
+        else:
+            md = math.sqrt(rr / s)
+        post = (m0, m1, P) if y is None else _cv_update(b, m0, m1, P, s, r)
+        return _cv_state(*post), m0, s * _eye(b.k), md

@@ -9,8 +9,10 @@ instance for bounding-box tracks ``(u, v, h, w)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -102,6 +104,9 @@ class LinearModel:
     C: np.ndarray
     Rww: np.ndarray
     Rvv: np.ndarray
+
+    # The per-axis block of a build_cv_model model; None for every other model.
+    _cv_block = None
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
@@ -247,6 +252,65 @@ def kf_update(state: GaussianState, model: LinearModel, y):
     return posterior, innovation, S
 
 
+class _CVBlock(NamedTuple):
+    """One axis of a ``build_cv_model`` model, which is this block times I_k:
+    ``A = A2 (x) I_k``, ``C = c2 (x) I_k``, ``Rww = Q2 (x) I_k`` and
+    ``Rvv = r I_k``, with ``A2 = [[1, dt], [0, 1]]``, ``c2 = [1, 0]`` and
+    ``Q2 = [[q00, q01], [q01, q11]]``. A covariance ``P2 (x) I_k`` keeps that
+    form through predict and update, so the filter is k copies of one
+    2-state, 1-output filter on the block ``P2 = [[p00, p01], [p01, p11]]``."""
+
+    dt: float
+    q00: float
+    q01: float
+    q11: float
+    r: float
+    k: int
+
+
+def _cv_predict(b: _CVBlock, state: GaussianState):
+    """Closed-form predict of a state whose covariance is ``P2 (x) I_k``.
+    Returns the predicted positions, rates and block ``(p00, p01, p11)``, and
+    the innovation variance ``s = c2 P2 c2^T + r``; an ``s`` that is not
+    positive and finite raises DegenerateGeometryError, as the Cholesky factor
+    of ``s I_k`` does."""
+    k, dt, mean, cov = b.k, b.dt, state.mean, state.cov
+    p01, p11 = cov.item(0, k), cov.item(k, k)
+    a01 = p01 + dt * p11  # (A2 P2)[0, 1]
+    p00 = cov.item(0, 0) + dt * p01 + dt * a01 + b.q00
+    s = p00 + b.r
+    if not 0.0 < s < math.inf:
+        raise DegenerateGeometryError("covariance is not numerically positive definite")
+    return mean[:k] + dt * mean[k:], mean[k:], (p00, a01 + b.q01, p11 + b.q11), s
+
+
+def _cv_update(b: _CVBlock, x0, x1, P, s: float, innovation: np.ndarray):
+    """Closed-form Joseph update of the predicted block with the 2-vector
+    gain ``g = P2 c2^T / s``; the innovation is the k-vector ``y - x0``."""
+    p00, p01, p11 = P
+    g0, g1 = p00 / s, p01 / s
+    u = 1.0 - g0
+    d = p01 - g1 * p00  # ((I - g c2) P2)[1, 0]
+    r = b.r
+    return (x0 + g0 * innovation, x1 + g1 * innovation,
+            (u * u * p00 + r * g0 * g0, u * d + r * g0 * g1,
+             p11 - g1 * p01 - g1 * d + r * g1 * g1))
+
+
+@lru_cache(maxsize=None)
+def _kron_index(k: int) -> np.ndarray:
+    """Read-only index map that lays ``(0, p00, p01, p11)`` out as ``P2 (x) I_k``."""
+    index = np.kron([[1, 2], [2, 3]], np.eye(k, dtype=np.intp))
+    index.flags.writeable = False
+    return index
+
+
+def _cv_state(m0, m1, P) -> GaussianState:
+    """The full state of positions ``m0``, rates ``m1`` and block ``P``."""
+    return _trusted_state(np.concatenate((m0, m1)),
+                          np.array((0.0, *P)).take(_kron_index(m0.shape[0])))
+
+
 def build_cv_model(n_axes: int, dt: float, accel_var: float, meas_var: float) -> LinearModel:
     """Constant-velocity model over ``n_axes`` independent axes.
 
@@ -256,6 +320,10 @@ def build_cv_model(n_axes: int, dt: float, accel_var: float, meas_var: float) ->
     acceleration a with variance ``accel_var`` enters as position += a dt^2/2,
     velocity += a dt. Measurements are the positions with isotropic variance
     ``meas_var``; there is no control input.
+
+    Every matrix is the Kronecker product of one 2x2 axis block with I_k. The
+    model carries that block, and experts on it filter the block in closed
+    form; its arrays are read-only, so the two cannot disagree.
     """
     if n_axes < 1:
         raise ContractViolationError(f"n_axes must be >= 1, got {n_axes}")
@@ -267,19 +335,21 @@ def build_cv_model(n_axes: int, dt: float, accel_var: float, meas_var: float) ->
         raise ContractViolationError(f"meas_var must be >= 0, got {meas_var}")
 
     k = n_axes
-    n = 2 * k
-    A = np.eye(n)
-    A[:k, k:] = dt * np.eye(k)
-    B = np.zeros((n, 1))  # kept in the generic API; no control here
-    C = np.hstack([np.eye(k), np.zeros((k, k))])
-    g = np.array([0.5 * dt * dt, dt])
-    q = accel_var * np.outer(g, g)
-    Rww = np.zeros((n, n))
-    for i in range(k):
-        idx = np.array([i, k + i])
-        Rww[np.ix_(idx, idx)] = q
-    Rvv = meas_var * np.eye(k)
-    return LinearModel(A, B, C, Rww, Rvv)
+    q, g1 = float(accel_var), float(dt)
+    g0 = 0.5 * g1 * g1
+    b = _CVBlock(g1, q * (g0 * g0), q * (g0 * g1), q * (g1 * g1), float(meas_var), k)
+    eye = np.eye(k)
+    model = LinearModel(
+        np.kron([[1.0, b.dt], [0.0, 1.0]], eye),
+        np.zeros((2 * k, 1)),  # kept in the generic API; no control here
+        np.kron([[1.0, 0.0]], eye),
+        np.kron([[b.q00, b.q01], [b.q01, b.q11]], eye),
+        np.kron([[b.r]], eye),
+    )
+    for name in ("A", "B", "C", "Rww", "Rvv"):
+        getattr(model, name).flags.writeable = False
+    object.__setattr__(model, "_cv_block", b)
+    return model
 
 
 def build_track_model(dt: float = 1.0, accel_var: float = 1.0, meas_var: float = 25.0) -> LinearModel:

@@ -14,6 +14,7 @@ from habdf import (
     ExpertConfig,
     ExpertReport,
     GaussianState,
+    LinearModel,
     build_cv_model,
     build_track_model,
     chi2_xi,
@@ -337,9 +338,15 @@ def replay_public(model, config, init_var, stale_after, readings):
         yield md, local_weight(md, config.xi), S, pred, state
 
 
+def plain(model):
+    """The same matrices as a general LinearModel, which carries no axis block."""
+    return LinearModel(model.A, model.B, model.C, model.Rww, model.Rvv)
+
+
 class TestOneFactorShortcut:
-    """Expert.step scores and updates from one factor of one innovation
-    covariance; the result equals the public two-factor path bit for bit."""
+    """On a general LinearModel, Expert.step scores and updates from one
+    factor of one innovation covariance; the result equals the public
+    two-factor path bit for bit."""
 
     STALE = 3
 
@@ -351,7 +358,7 @@ class TestOneFactorShortcut:
         outlier_sigma=st.floats(0.0, 50.0),
     )
     def test_reports_equal_public_path_and_naive_oracle(self, diag, seed, gaps, outlier_sigma):
-        model = build_track_model(dt=1.0, accel_var=0.5, meas_var=9.0)
+        model = plain(build_track_model(dt=1.0, accel_var=0.5, meas_var=9.0))
         config = ExpertConfig(use_diag_approx=diag)
         rng = np.random.default_rng(seed)
         gaps[len(gaps) // 2] = self.STALE + 1  # one gap past stale_after
@@ -377,6 +384,95 @@ class TestOneFactorShortcut:
                 scale = np.abs(cov).max()
                 assert np.allclose(got.posterior.mean, mean, rtol=1e-9, atol=1e-9 * np.abs(mean).max())
                 assert np.allclose(got.posterior.cov, cov, rtol=1e-6, atol=1e-9 * scale)
+
+
+class TestClosedFormStep:
+    """On a build_cv_model model, Expert.step filters the 2x2 axis block in
+    closed form. It agrees with the public path on the same matrices (run as a
+    general LinearModel) to within stated tolerances: md and w_M within 1e-9
+    relative (md also within 1e-11 absolute, for a reading at the
+    prediction), and means, covariances and innovation covariances within
+    1e-11 of their largest entry. Against the explicit-inverse, non-Joseph oracle,
+    means agree within 1e-11 and covariances within 1e-9 of their largest
+    entry."""
+
+    STALE = 3
+
+    @staticmethod
+    def near(got, want, tol):
+        return np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("diag", [False, True])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dt=st.sampled_from([0.1, 1.0, 2.5]),
+        gaps=st.lists(st.integers(0, 2 * STALE), min_size=2, max_size=20),
+        outlier_sigma=st.floats(0.0, 50.0),
+    )
+    def test_agrees_with_public_path_and_naive_oracle(self, k, diag, seed, dt, gaps,
+                                                      outlier_sigma):
+        model = build_cv_model(k, dt, 0.5, 9.0)
+        general = plain(model)
+        config = ExpertConfig(xi=chi2_xi(k, 0.95), use_diag_approx=diag)
+        rng = np.random.default_rng(seed)
+        gaps[len(gaps) // 2] = self.STALE + 1  # one gap past stale_after
+        start, rate = np.array([300.0, 200.0, 80.0, 60.0])[:k], rng.normal(0.0, 2.0, k)
+        readings = []
+        for gap in gaps:
+            readings += [None] * gap
+            y = start + rate * dt * len(readings) + rng.normal(0.0, 3.0, k)
+            readings.append(y + outlier_sigma * 3.0 * rng.standard_normal(k))
+
+        exp = Expert(model, config, init_var=1e4, stale_after=self.STALE)
+        for y, want in zip(readings, replay_public(general, config, 1e4, self.STALE, readings)):
+            got = exp.step(y)
+            if want is None:
+                assert got is None
+                continue
+            md, w_M, S, pred, post = want
+            assert got.md == pytest.approx(md, rel=1e-9, abs=1e-11)
+            assert got.w_M == pytest.approx(w_M, rel=1e-9)
+            assert self.near(got.predicted_meas, general.C @ pred.mean, 1e-11)
+            assert self.near(got.innovation_cov, S, 1e-11)
+            assert self.near(got.posterior.mean, post.mean, 1e-11)
+            assert self.near(got.posterior.cov, post.cov, 1e-11)
+            assert np.array_equal(got.posterior.cov, got.posterior.cov.T)
+            if y is not None:
+                mean, cov = oracles.naive_update(pred.mean, pred.cov, general.C, general.Rvv, y)
+                assert self.near(got.posterior.mean, mean, 1e-11)
+                assert self.near(got.posterior.cov, cov, 1e-9)
+
+    def test_cv_model_skips_the_matrix_path(self, monkeypatch):
+        import habdf.experts
+
+        def refuse(*args):
+            raise AssertionError("kf_predict called")
+
+        monkeypatch.setattr(habdf.experts, "kf_predict", refuse)
+        model = build_track_model()
+        exp = Expert(model)
+        for y in ([1.0, 2.0, 3.0, 4.0], None, [1.5, 2.0, 3.0, 4.0]):
+            exp.step(y)
+        with pytest.raises(AssertionError, match="kf_predict called"):
+            Expert(plain(model)).step([1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("third", [[3.0], None])
+    def test_collapsed_covariance_raises_degenerate_geometry_on_both_paths(self, third):
+        # No process or measurement noise: the covariance collapses to 0 after
+        # two updates, so the third frame's innovation variance is 0.
+        model = build_cv_model(1, 1.0, 0.0, 0.0)
+        for m, diag in ((model, False), (plain(model), False), (model, True)):
+            exp = Expert(m, ExpertConfig(xi=chi2_xi(1, 0.95), use_diag_approx=diag))
+            exp.step([1.0])
+            exp.step([2.0])
+            assert not exp.state.cov.any()
+            state, last_meas, misses, frame = exp.state, exp.last_meas, exp.misses, exp.frame
+            with pytest.raises(DegenerateGeometryError):
+                exp.step(third)
+            assert exp.state is state and exp.last_meas is last_meas
+            assert exp.misses == misses and exp.frame == frame
 
 
 class TestCalibration:

@@ -271,6 +271,40 @@ class TestBuildModels:
         with pytest.raises(ContractViolationError):
             build_cv_model(1, -1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("dt, accel_var, meas_var", [
+        (1.0, 1.0, 25.0), (0.3, 2.5, 9.0), (1.0 / 30.0, 0.0, 0.5), (2.5, 1e-3, 1e4),
+    ])
+    def test_matrices_equal_explicit_layout_bit_for_bit(self, k, dt, accel_var, meas_var):
+        # Written entry by entry in the positions-first layout; the DWNA noise
+        # is accel_var * g_a * g_b with g = (dt^2 / 2, dt).
+        n = 2 * k
+        g = (0.5 * dt * dt, dt)
+        A, C, Rww = np.zeros((n, n)), np.zeros((k, n)), np.zeros((n, n))
+        for i in range(k):
+            axis = (i, k + i)
+            A[i, i] = A[k + i, k + i] = 1.0
+            A[i, k + i] = dt
+            C[i, i] = 1.0
+            for a in range(2):
+                for b in range(2):
+                    Rww[axis[a], axis[b]] = accel_var * (g[a] * g[b])
+        model = build_cv_model(k, dt, accel_var, meas_var)
+        want = (A, np.zeros((n, 1)), C, Rww, meas_var * np.eye(k))
+        for got, expected in zip((model.A, model.B, model.C, model.Rww, model.Rvv), want):
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    def test_cv_model_arrays_are_read_only(self):
+        model = build_track_model()
+        for a in (model.A, model.B, model.C, model.Rww, model.Rvv):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_overflowing_process_noise_is_a_contract_error(self):
+        with np.errstate(all="ignore"), pytest.raises(ContractViolationError, match="Rww"):
+            build_cv_model(1, 1e80, 1.0, 1.0)
+
 
 @st.composite
 def model_and_state(draw):
