@@ -19,11 +19,9 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 from scipy.stats import chi2
 
-from .errors import ContractViolationError
-from .kalman import (COND_LIMIT, GaussianState, LinearModel, _cholesky, _cv_predict,
-                     _cv_state, _cv_update, _eye, _gain_update, _innovation_cov, kf_predict)
-# Not called here; perfbench/tests/test_bench.py::TestTracer asserts it is patched here.
-from .kalman import kf_update  # noqa: F401
+from .errors import ContractViolationError, DegenerateGeometryError
+from .kalman import (GaussianState, LinearModel, _cholesky, _cv_predict, _cv_state,
+                     _cv_update, _eye, _innovation_cov, kf_predict, kf_update)
 
 __all__ = [
     "mahalanobis",
@@ -57,14 +55,6 @@ def _residual(y: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
     return r, rr
 
 
-def _whitened_norm(L: np.ndarray, r: np.ndarray) -> float:
-    """sqrt(r^T (L L^T)^-1 r) for a lower Cholesky factor ``L``."""
-    # LAPACK trtrs (solve_triangular without the wrapper's checks); the norm
-    # is sqrt(z . z), exactly as np.linalg.norm computes it for a real vector.
-    z = dtrtrs(L, r, lower=1)[0]
-    return math.sqrt(z.dot(z))
-
-
 def mahalanobis(y, mu, cov) -> float:
     """Exact Mahalanobis distance sqrt((y-mu)^T cov^-1 (y-mu)).
 
@@ -80,7 +70,10 @@ def mahalanobis(y, mu, cov) -> float:
         )
     if not np.isfinite(cov).all():
         raise ContractViolationError("non-finite input to mahalanobis")
-    return _whitened_norm(_cholesky(cov), r)
+    # LAPACK trtrs (solve_triangular without the wrapper's checks); the norm
+    # is sqrt(z . z), exactly as np.linalg.norm computes it for a real vector.
+    z = dtrtrs(_cholesky(cov), r, lower=1)[0]
+    return math.sqrt(z.dot(z))
 
 
 def mahalanobis_diag(y, mu, cov_diag) -> float:
@@ -204,17 +197,17 @@ class Expert:
 
         A model from ``build_cv_model`` is filtered on its 2x2 axis block in
         closed form: the innovation covariance is ``s I_k``, so
-        ``md = |y - mu| / sqrt(s)``. Every other model takes the general path,
-        where one Cholesky factor of the innovation covariance gives both the
-        score and the gain. An update frame factors under COND_LIMIT, as
-        kf_update does; a coast frame factors with no limit, as mahalanobis
-        does, or not at all on the diagonal approximation.
+        ``md = |y - mu| / sqrt(s)``. Every other model runs kf_predict, scores
+        with mahalanobis or mahalanobis_diag, and updates with kf_update.
         """
         frame = self.frame + 1
         state, model = self.state, self.model
         if y is not None:
             y = np.asarray(y, dtype=float)
             if state is None:
+                if y.shape != (model.meas_dim,):
+                    raise ContractViolationError(f"y and mu must be matching vectors, "
+                                                 f"got {y.shape} and {(model.meas_dim,)}")
                 # Measured slots filled, rates zero.
                 state = GaussianState(model.C.T @ y, self.init_cov)
             elif self.stale_after is not None and self.misses >= self.stale_after:
@@ -245,16 +238,15 @@ class Expert:
         model = self.model
         pred = kf_predict(state, model)
         mu = model.C @ pred.mean
-        S, CP = _innovation_cov(model, pred.cov)
+        S = _innovation_cov(model, pred.cov)[0]
         if self.config.use_diag_approx:
-            md = mahalanobis_diag(scored, mu, np.diag(S))
-            r, L = (None, None) if y is None else (y - mu, _cholesky(S, COND_LIMIT))
+            var = np.diag(S)
+            if (var <= 0).any():  # as the exact and closed-form paths report it
+                raise DegenerateGeometryError("covariance is not numerically positive definite")
+            md = mahalanobis_diag(scored, mu, var)
         else:
-            r, _ = _residual(scored, mu)
-            L = _cholesky(S, np.inf if y is None else COND_LIMIT)
-            md = _whitened_norm(L, r)
-        # On an update frame the scored residual is the innovation.
-        return (pred if y is None else _gain_update(pred, model, r, CP, L)), mu, S, md
+            md = mahalanobis(scored, mu, S)
+        return (pred if y is None else kf_update(pred, model, y)[0]), mu, S, md
 
     def _filter_cv(self, b, state, scored, y):
         """The same frame on the axis block ``b`` of a CV model, in closed form.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, InsufficientDetectorsError
-from .experts import Expert, ExpertConfig, ExpertReport
+from .experts import Expert, ExpertConfig
 from .kalman import (
     GaussianState,
     LinearModel,
@@ -217,7 +217,6 @@ class Pipeline:
             for m in models
         ]
         self.center = FusionCenter(models[0], len(models), self.config, init_var)
-        self.last_reports: list[ExpertReport | None] = [None] * len(models)
 
     @property
     def n_detectors(self) -> int:
@@ -226,8 +225,8 @@ class Pipeline:
     def step(self, measurements) -> FusedEstimate | None:
         """Feed one frame of per-detector measurements (None = absent).
 
-        The step is atomic: if it raises, every expert, the center and
-        ``last_reports`` are left exactly as they were before the call.
+        The step is atomic: if it raises, every expert and the center are
+        left exactly as they were before the call.
         """
         if len(measurements) != len(self.experts):
             raise ContractViolationError(
@@ -238,15 +237,14 @@ class Pipeline:
             for y in measurements
         ]
         # States are immutable values, so a snapshot is a set of references.
+        # FusionCenter.step is atomic on its own, so only the experts need one.
         saved = [(e.state, e.last_meas, e.misses, e.frame) for e in self.experts]
-        saved_center = (self.center.state, self.center.frame, self.last_reports)
         try:
-            self.last_reports = [e.step(y) for e, y in zip(self.experts, ys)]
-            return self.center.step(self.last_reports, ys)
+            reports = [e.step(y) for e, y in zip(self.experts, ys)]
+            return self.center.step(reports, ys)
         except BaseException:
             for e, s in zip(self.experts, saved):
                 e.state, e.last_meas, e.misses, e.frame = s
-            self.center.state, self.center.frame, self.last_reports = saved_center
             raise
 
 

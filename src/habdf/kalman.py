@@ -28,9 +28,8 @@ __all__ = [
     "build_track_model",
 ]
 
-# An update (kf_update, or an expert's update frame) refuses an innovation
-# covariance whose Cholesky factor's squared max/min diagonal ratio, never
-# above the condition number, exceeds this.
+# kf_update refuses an innovation covariance whose Cholesky factor's squared
+# max/min diagonal ratio, never above the condition number, exceeds this.
 COND_LIMIT = 1e12
 
 # Symmetry/PSD construction tolerance, scaled by max(1, max|cov|) so that
@@ -212,20 +211,6 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-def _gain_update(state: GaussianState, model: LinearModel, innovation: np.ndarray,
-                 CP: np.ndarray, L: np.ndarray) -> GaussianState:
-    """Joseph-form posterior from the innovation ``y - C m``, the product
-    ``C P`` and the lower Cholesky factor ``L`` of the innovation covariance;
-    no checks."""
-    C, P = model.C, state.cov
-    # LAPACK potrs (cho_solve without the wrapper's checks, which cost more).
-    K = dpotrs(L, CP, lower=1)[0].T
-    mean = state.mean + K @ innovation
-    I_KC = _eye(state.dim) - K @ C
-    cov = I_KC @ P @ I_KC.T + K @ model.Rvv @ K.T
-    return _trusted_state(mean, 0.5 * (cov + cov.T))
-
-
 def kf_update(state: GaussianState, model: LinearModel, y):
     """Measurement update; returns ``(posterior, innovation, innovation_cov)``.
 
@@ -246,10 +231,15 @@ def kf_update(state: GaussianState, model: LinearModel, y):
     if not np.isfinite(y).all():
         raise ContractViolationError("measurement contains non-finite entries")
 
-    S, CP = _innovation_cov(model, state.cov)
-    innovation = y - model.C @ state.mean
-    posterior = _gain_update(state, model, innovation, CP, _cholesky(S, COND_LIMIT))
-    return posterior, innovation, S
+    C, P = model.C, state.cov
+    S, CP = _innovation_cov(model, P)
+    innovation = y - C @ state.mean
+    # LAPACK potrs (cho_solve without the wrapper's checks, which cost more).
+    K = dpotrs(_cholesky(S, COND_LIMIT), CP, lower=1)[0].T
+    mean = state.mean + K @ innovation
+    I_KC = _eye(state.dim) - K @ C
+    cov = I_KC @ P @ I_KC.T + K @ model.Rvv @ K.T
+    return _trusted_state(mean, 0.5 * (cov + cov.T)), innovation, S
 
 
 class _CVBlock(NamedTuple):

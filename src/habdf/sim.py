@@ -374,8 +374,8 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
     fused_var = np.empty(T)
     for t in range(T):
         est = pipe.step([sensors[i, t:t + 1] for i in range(n)])
-        for i, (rep, per) in enumerate(zip(pipe.last_reports, est.per_detector)):
-            experts[i, t] = rep.posterior.mean[0]
+        for i, (e, per) in enumerate(zip(pipe.experts, est.per_detector)):
+            experts[i, t] = e.state.mean[0]
             w_m[i, t] = per.w_M
             w_d[i, t] = per.w_d
             rvv[i, t] = per.rvv_scale

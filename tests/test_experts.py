@@ -307,11 +307,23 @@ class TestAtomicExpertStep:
             assert np.array_equal(got.posterior.mean, want.posterior.mean)
             assert np.array_equal(got.posterior.cov, want.posterior.cov)
 
+    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]], 5.0])
+    def test_wrong_length_first_reading_leaves_expert_unstarted(self, bad, general):
+        model = build_track_model()
+        exp = Expert(plain(model) if general else model)
+        with pytest.raises(ContractViolationError, match="y and mu must be matching vectors"):
+            exp.step(bad)
+        assert exp.state is None and exp.last_meas is None
+        assert exp.misses == 0 and exp.frame == -1
+        assert exp.step([1.0, 2.0, 3.0, 4.0]).frame == 0
+
 
 def replay_public(model, config, init_var, stale_after, readings):
-    """Expert.step's frame logic replayed through the public two-factor path:
-    kf_predict, then mahalanobis or mahalanobis_diag, then kf_update. Yields
-    (md, w_M, innovation_cov, predicted state, posterior) per reported frame."""
+    """Expert.step's frame logic written out with the public functions:
+    kf_predict, then mahalanobis or mahalanobis_diag, then kf_update, each
+    called on its own. Yields (md, w_M, innovation_cov, predicted state,
+    posterior) per reported frame."""
     state, last, misses = None, None, 0
     for y in readings:
         if state is None:
@@ -344,9 +356,9 @@ def plain(model):
 
 
 class TestOneFactorShortcut:
-    """On a general LinearModel, Expert.step scores and updates from one
-    factor of one innovation covariance; the result equals the public
-    two-factor path bit for bit."""
+    """On a general LinearModel, Expert.step runs kf_predict, mahalanobis or
+    mahalanobis_diag, and kf_update; its reports equal replay_public's bit for
+    bit, and its posteriors agree with the explicit-inverse oracle."""
 
     STALE = 3
 
@@ -463,7 +475,8 @@ class TestClosedFormStep:
         # No process or measurement noise: the covariance collapses to 0 after
         # two updates, so the third frame's innovation variance is 0.
         model = build_cv_model(1, 1.0, 0.0, 0.0)
-        for m, diag in ((model, False), (plain(model), False), (model, True)):
+        for m, diag in ((model, False), (plain(model), False), (model, True),
+                        (plain(model), True)):
             exp = Expert(m, ExpertConfig(xi=chi2_xi(1, 0.95), use_diag_approx=diag))
             exp.step([1.0])
             exp.step([2.0])
