@@ -53,7 +53,10 @@ def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     if not np.allclose(m, m.T, atol=_PSD_TOL * scale, rtol=0.0):
         raise ContractViolationError(f"{name} is not symmetric within tolerance")
-    sym = 0.5 * (m + m.T)
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (m + m.T)
+    if not np.isfinite(sym).all():
+        raise ContractViolationError(f"{name} overflows when symmetrized")
     if sym.shape[0] and float(np.linalg.eigvalsh(sym).min()) < -_PSD_TOL * scale:
         raise ContractViolationError(f"{name} is not positive semidefinite")
     return sym

@@ -19,10 +19,10 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, RecordFormatError
-from .experts import chi2_xi
+from .experts import ExpertConfig, chi2_xi
 from .fusion import FusionConfig
-from .experts import ExpertConfig
-from .sim import FaultProfile, SimScenario
+from .kalman import build_cv_model
+from .sim import FaultProfile, SecondOrderPlant, SimScenario
 from .voting import BoundingBox, VoteConfig
 
 __all__ = [
@@ -84,8 +84,6 @@ def write_csv(path: str, header, rows) -> None:
 
 def read_csv_dicts(path: str, required=()):
     """Read a headered CSV into dict rows; checks the required columns exist."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -94,6 +92,13 @@ def read_csv_dicts(path: str, required=()):
         if missing:
             raise RecordFormatError(f"{path}: missing columns {missing}")
         return list(reader), reader.fieldnames
+
+
+def _parse_int(path: str, row_no: int, name: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise RecordFormatError(f"{path}: row {row_no}: bad {name} value {raw!r}") from None
 
 
 def _parse_float(path: str, row_no: int, name: str, raw: str) -> float:
@@ -124,12 +129,7 @@ def read_track_csv(path: str) -> list[TrackRecord]:
         row_no = idx + 2
         if any(v is None for v in row.values()) or None in row:
             raise RecordFormatError(f"{path}: row {row_no}: wrong field count")
-        try:
-            frame = int(row["frame"])
-        except ValueError:
-            raise RecordFormatError(
-                f"{path}: row {row_no}: bad frame value {row['frame']!r}"
-            ) from None
+        frame = _parse_int(path, row_no, "frame", row["frame"])
         det = row["detector_id"].strip()
         if not det:
             raise RecordFormatError(f"{path}: row {row_no}: empty detector_id")
@@ -169,12 +169,7 @@ def read_box_csv(path: str) -> dict[int, BoundingBox]:
     out: dict[int, BoundingBox] = {}
     for idx, row in enumerate(rows):
         row_no = idx + 2
-        try:
-            frame = int(row["frame"])
-        except ValueError:
-            raise RecordFormatError(
-                f"{path}: row {row_no}: bad frame value {row['frame']!r}"
-            ) from None
+        frame = _parse_int(path, row_no, "frame", row["frame"])
         if frame in out:
             raise RecordFormatError(f"{path}: row {row_no}: duplicate frame {frame}")
         vals = [_parse_float(path, row_no, k, row[k]) for k in ("u", "v", "h", "w")]
@@ -323,17 +318,33 @@ def parse_grid(specs) -> dict[str, list]:
     return grid
 
 
-def _gains_from_config(cfg: dict, n: int, name: str):
-    base = cfg[f"fusion.{name}"]
-    per = [cfg.get(f"fusion.{name}.{i}") for i in range(1, n + 1)]
+def _per_detector(cfg: dict, n: int, base: str, indexed: str):
+    """``cfg[base]``, or a tuple over detectors 1..n when any ``indexed``
+    key (formatted with the detector's 1-based index) overrides it."""
+    per = [cfg.get(indexed.format(i)) for i in range(1, n + 1)]
     if any(v is not None for v in per):
-        return tuple(base if v is None else v for v in per)
-    return base
+        return tuple(cfg[base] if v is None else v for v in per)
+    return cfg[base]
 
 
-def _vote_from_config(cfg: dict) -> VoteConfig:
-    return VoteConfig(
-        omega0=cfg["vote.omega0"], omega=cfg["vote.omega"], lam=cfg["vote.lambda"],
+def _fusion_from_config(cfg: dict, n: int, dof: int) -> FusionConfig:
+    """Fusion settings for n detectors whose measurements have ``dof`` entries.
+
+    Expert xi is the ``dof``-dof chi-square root at expert.confidence unless
+    expert.xi pins it.
+    """
+    xi = cfg["expert.xi"]
+    if xi is None:
+        xi = chi2_xi(dof, cfg["expert.confidence"])
+    return FusionConfig(
+        gamma=_per_detector(cfg, n, "fusion.gamma", "fusion.gamma.{}"),
+        delta=_per_detector(cfg, n, "fusion.delta", "fusion.delta.{}"),
+        cov_floor=cfg["fusion.cov_floor"],
+        stale_after=cfg["fusion.stale_after"],
+        vote=VoteConfig(
+            omega0=cfg["vote.omega0"], omega=cfg["vote.omega"], lam=cfg["vote.lambda"],
+        ),
+        expert=ExpertConfig(xi=xi, use_diag_approx=cfg["expert.use_diag_approx"]),
     )
 
 
@@ -345,7 +356,6 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
     if count < 3:
         raise ConfigError(f"sensors.count must be >= 3, got {count}")
     faults = []
-    meas_vars = []
     for i in range(1, count + 1):
         def get(field, default=0.0):
             return cfg.get(f"sensor.{i}.{field}", default)
@@ -357,19 +367,12 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
             shock_offset=get("shock_offset"),
             shock_window=(int(get("shock_start", 0)), int(get("shock_end", 0))),
         ))
-        meas_vars.append(get("meas_var", None))
-    if any(v is not None for v in meas_vars):
-        meas_var = tuple(
-            cfg["filter.meas_var"] if v is None else v for v in meas_vars
-        )
-    else:
-        meas_var = cfg["filter.meas_var"]
     return SimScenario(
         frames=cfg["run.frames"],
-        dt=cfg["run.dt"],
-        natural_freq=cfg["plant.natural_freq"],
-        damping=cfg["plant.damping"],
-        plant_gain=cfg["plant.gain"],
+        plant=SecondOrderPlant(
+            cfg["plant.natural_freq"], cfg["plant.damping"], cfg["plant.gain"], cfg["run.dt"],
+        ),
+        fusion=_fusion_from_config(cfg, count, dof=1),
         start_at_steady=cfg["plant.start_at_steady"],
         setpoint_kind=cfg["setpoint.kind"],
         setpoint_amplitude=cfg["setpoint.amplitude"],
@@ -378,39 +381,17 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
         faults=tuple(faults),
         filter_dt=cfg["filter.dt"],
         accel_var=cfg["filter.accel_var"],
-        meas_var=meas_var,
+        meas_var=_per_detector(cfg, count, "filter.meas_var", "sensor.{}.meas_var"),
         init_var=cfg["filter.init_var"],
-        confidence=cfg["expert.confidence"],
-        xi=cfg["expert.xi"],
-        use_diag_approx=cfg["expert.use_diag_approx"],
-        vote=_vote_from_config(cfg),
-        gamma=_gains_from_config(cfg, count, "gamma"),
-        delta=_gains_from_config(cfg, count, "delta"),
-        cov_floor=cfg["fusion.cov_floor"],
-        stale_after=cfg["fusion.stale_after"],
         seed=cfg["run.seed"] if seed is None else int(seed),
     )
 
 
 def tracking_setup_from_config(cfg: dict, n_detectors: int):
-    """Fusion setup for bounding-box replay: (model dims, FusionConfig, init_var).
+    """Fusion setup for bounding-box replay: (model, FusionConfig, init_var).
 
-    Expert xi defaults to the 4-dof chi-square root at the configured
-    confidence unless expert.xi pins it.
+    The model is the 4-axis constant-velocity box model, so expert xi is a
+    4-dof threshold.
     """
-    from .kalman import build_cv_model
-
-    xi = cfg["expert.xi"]
-    if xi is None:
-        xi = chi2_xi(4, cfg["expert.confidence"])
-    expert = ExpertConfig(xi=xi, use_diag_approx=cfg["expert.use_diag_approx"])
-    config = FusionConfig(
-        gamma=_gains_from_config(cfg, n_detectors, "gamma"),
-        delta=_gains_from_config(cfg, n_detectors, "delta"),
-        cov_floor=cfg["fusion.cov_floor"],
-        stale_after=cfg["fusion.stale_after"],
-        vote=_vote_from_config(cfg),
-        expert=expert,
-    )
     model = build_cv_model(4, cfg["filter.dt"], cfg["filter.accel_var"], cfg["filter.meas_var"])
-    return model, config, cfg["filter.init_var"]
+    return model, _fusion_from_config(cfg, n_detectors, model.meas_dim), cfg["filter.init_var"]

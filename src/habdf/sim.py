@@ -13,17 +13,15 @@ use case steers a pan/tilt camera with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import ContractViolationError, InsufficientDetectorsError
-from .experts import ExpertConfig, chi2_xi
 from .fusion import FusionConfig, make_pipeline
 from .kalman import build_cv_model
-from .voting import VoteConfig
 
 __all__ = [
     "SecondOrderPlant",
@@ -255,15 +253,14 @@ class SimScenario:
     """Full bench description: plant, set-point, sensor faults, fusion knobs.
 
     The filter bank runs on the frame clock (``filter_dt`` frames), decoupled
-    from the plant's physical ``dt``. Expert xi defaults to the 1-dof
-    chi-square root at ``confidence`` since bench measurements are scalar.
+    from the plant's physical ``plant.dt``. Bench measurements are scalar, so
+    ``fusion.expert.xi`` should be a 1-dof threshold, as
+    ``records.scenario_from_config`` derives it.
     """
 
     frames: int
-    dt: float
-    natural_freq: float = 2.0
-    damping: float = 0.7
-    plant_gain: float = 100.0
+    plant: SecondOrderPlant
+    fusion: FusionConfig
     start_at_steady: bool = True
     setpoint_kind: str = "square"
     setpoint_amplitude: float = 1.0
@@ -274,30 +271,15 @@ class SimScenario:
     accel_var: float = 0.05
     meas_var: float | tuple = 4.0  # scalar broadcasts; tuple = per-sensor
     init_var: float = 1e4
-    confidence: float = 0.95
-    xi: float | None = None
-    use_diag_approx: bool = False
-    vote: VoteConfig = field(default_factory=VoteConfig)
-    gamma: float | tuple = 1.0
-    delta: float | tuple = 1.0
-    cov_floor: float = 1e-6
-    stale_after: int = 30
     seed: int = 0
 
     def __post_init__(self):
         if self.frames < 1:
             raise ContractViolationError(f"frames must be >= 1, got {self.frames}")
 
-    def plant(self) -> SecondOrderPlant:
-        return SecondOrderPlant(self.natural_freq, self.damping, self.plant_gain, self.dt)
-
     def fusion_config(self) -> FusionConfig:
-        xi = self.xi if self.xi is not None else chi2_xi(1, self.confidence)
-        expert = ExpertConfig(xi=xi, use_diag_approx=self.use_diag_approx)
-        return FusionConfig(
-            gamma=self.gamma, delta=self.delta, cov_floor=self.cov_floor,
-            stale_after=self.stale_after, vote=self.vote, expert=expert,
-        )
+        """The fusion settings, ``self.fusion``."""
+        return self.fusion
 
 
 @dataclass(frozen=True)
@@ -348,9 +330,8 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
         scenario.setpoint_kind, scenario.frames, scenario.setpoint_amplitude,
         scenario.setpoint_period, scenario.setpoint_value,
     )
-    plant = scenario.plant()
-    x0 = steady_state(plant, sp[0]) if scenario.start_at_steady else None
-    truth = run_plant(plant, sp, x0)
+    x0 = steady_state(scenario.plant, sp[0]) if scenario.start_at_steady else None
+    truth = run_plant(scenario.plant, sp, x0)
 
     profiles = [
         replace(prof, seed=s)
@@ -363,7 +344,7 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
         build_cv_model(1, scenario.filter_dt, scenario.accel_var, mv)
         for mv in meas_vars
     ]
-    pipe = make_pipeline(n, models, scenario.fusion_config(), scenario.init_var)
+    pipe = make_pipeline(n, models, scenario.fusion, scenario.init_var)
 
     T = scenario.frames
     experts = np.empty((n, T))

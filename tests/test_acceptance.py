@@ -7,6 +7,7 @@ reads as a checklist. Tolerances and time budgets are asserted, not advisory.
 import contextlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,11 +288,11 @@ def test_criterion_8_simulate_is_byte_identical_under_a_fixed_seed(tmp_path):
             rc = main(["simulate", "--config", "three_sensor_faults.scenario",
                        "--out", out, "--seed", "13"])
             assert rc == 0
-        first = open(outs[0], "rb").read()
-        second = open(outs[1], "rb").read()
+        first = Path(outs[0]).read_bytes()
+        second = Path(outs[1]).read_bytes()
         assert first == second
-        s1 = open(str(tmp_path / "run1_summary.csv"), "rb").read()
-        s2 = open(str(tmp_path / "run2_summary.csv"), "rb").read()
+        s1 = (tmp_path / "run1_summary.csv").read_bytes()
+        s2 = (tmp_path / "run2_summary.csv").read_bytes()
         assert s1 == s2
 
 

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior, run in process through main(argv)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,17 +68,17 @@ class TestSimulate:
         for out in outs:
             assert main(["simulate", "--config", small_scenario,
                          "--out", out, "--seed", "9"]) == 0
-        a = open(outs[0], "rb").read()
-        b = open(outs[1], "rb").read()
+        a = Path(outs[0]).read_bytes()
+        b = Path(outs[1]).read_bytes()
         assert a == b
-        assert open(str(tmp_path / "r1_summary.csv"), "rb").read() == \
-            open(str(tmp_path / "r2_summary.csv"), "rb").read()
+        assert (tmp_path / "r1_summary.csv").read_bytes() == \
+            (tmp_path / "r2_summary.csv").read_bytes()
 
     def test_different_seeds_differ(self, small_scenario, tmp_path):
         outs = [str(tmp_path / f"s{i}.csv") for i in (1, 2)]
         main(["simulate", "--config", small_scenario, "--out", outs[0], "--seed", "1"])
         main(["simulate", "--config", small_scenario, "--out", outs[1], "--seed", "2"])
-        assert open(outs[0], "rb").read() != open(outs[1], "rb").read()
+        assert Path(outs[0]).read_bytes() != Path(outs[1]).read_bytes()
 
     def test_bundled_scenario_regression(self, tmp_path):
         out = str(tmp_path / "bench.csv")
@@ -206,6 +208,23 @@ class TestFuse:
         assert "md must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_init_var_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("filter.init_var = 1e308\n")
+        out = tmp_path / "fused.csv"
+        rc = main(["fuse", self.write_tracks(tmp_path, frames=3), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error: cov overflows when symmetrized" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_tracks_exit_2_and_names_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        rc = main(["fuse", missing, "--config", self.write_cfg(tmp_path),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"file not found: {missing}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_nonfinite_cell_exit_2_naming_its_row(self, tmp_path, capsys, cell):
         path = tmp_path / "nonfinite.csv"
@@ -285,6 +304,12 @@ class TestEval:
         assert [int(r["frame"]) for r in rows] == [3, 4, 5]
         assert "excluded 6 unmatched frames" in capsys.readouterr().out
 
+    def test_missing_fused_file_exit_2_and_names_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        gt = write_boxes(tmp_path / "gt.csv", {0: (10.0, 20.0, 30.0, 40.0)})
+        assert main(["eval", missing, gt, "--out", str(tmp_path / "e.csv")]) == 2
+        assert f"file not found: {missing}" in capsys.readouterr().err
+
     def test_no_overlap_exit_2(self, tmp_path, capsys):
         fused = write_boxes(tmp_path / "fused.csv", {0: (0.0, 0.0, 4.0, 4.0)})
         gt = write_boxes(tmp_path / "gt.csv", {5: (0.0, 0.0, 4.0, 4.0)})
@@ -334,7 +359,7 @@ class TestSweep:
         for out in outs:
             main(["sweep", "--config", small_scenario,
                   "--grid", "run.seed=0,1", "--out", out])
-        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+        assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
 
     def test_oversized_grid_rejected_without_force(self, small_scenario, tmp_path, capsys):
         big = ",".join(str(i) for i in range(101))

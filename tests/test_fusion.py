@@ -376,6 +376,15 @@ class TestAtomicStep:
         assert pipe.center.state is None and pipe.center.frame == -1
         assert pipe.step(self.frames(1)[0]).frame == 0
 
+    def test_overflowing_init_var_leaves_pipeline_unstarted(self):
+        # init_var passes its own check; the first expert state's covariance
+        # overflows when symmetrized and is refused before any state is set.
+        pipe = make_pipeline(3, build_track_model(), init_var=1e308)
+        with pytest.raises(ContractViolationError, match="cov overflows when symmetrized"):
+            pipe.step(self.frames(1)[0])
+        assert all(e.state is None and e.frame == -1 for e in pipe.experts)
+        assert pipe.center.state is None and pipe.center.frame == -1
+
     @pytest.mark.parametrize("diag", [False, True])
     def test_cond_limit_refuses_update_frames_only(self, diag):
         # Every axis is measured almost exactly; the last one also gains 1e6

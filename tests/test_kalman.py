@@ -54,6 +54,13 @@ class TestGaussianState:
         s = GaussianState([0.0, 0.0], cov)
         assert np.array_equal(s.cov, s.cov.T)
 
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_cov_that_overflows_when_symmetrized_is_refused(self, n):
+        # m + m.T overflows past about 9e307; it used to store an inf
+        # covariance (n = 2) or fail inside eigvalsh (n = 8).
+        with pytest.raises(ContractViolationError, match="cov overflows when symmetrized"):
+            GaussianState(np.zeros(n), 9e307 * np.eye(n))
+
 
 class TestLinearModel:
     def test_rejects_mismatched_dims(self):
@@ -63,6 +70,10 @@ class TestLinearModel:
     def test_rejects_nonpsd_noise(self):
         with pytest.raises(ContractViolationError):
             LinearModel(np.eye(2), np.zeros((2, 1)), np.eye(2), -np.eye(2), np.eye(2))
+
+    def test_rejects_noise_that_overflows_when_symmetrized(self):
+        with pytest.raises(ContractViolationError, match="Rww overflows when symmetrized"):
+            LinearModel(np.eye(1), np.zeros((1, 0)), np.eye(1), [[9e307]], np.eye(1))
 
 
 class TestPredict:

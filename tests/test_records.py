@@ -1,9 +1,19 @@
 """CSV formats and the flat key/value config parser."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from habdf import ConfigError, RecordFormatError, TrackRecord, load_config, read_track_csv, write_track_csv
+from habdf import (
+    ConfigError,
+    RecordFormatError,
+    SecondOrderPlant,
+    TrackRecord,
+    load_config,
+    read_track_csv,
+    write_track_csv,
+)
 from habdf.experts import chi2_xi
 from habdf.records import (
     format_value,
@@ -61,7 +71,7 @@ class TestCsvRoundTrip:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_track_csv(p1, rec)
         write_track_csv(p2, rec)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_generic_writer_reader(self, tmp_path):
         path = str(tmp_path / "g.csv")
@@ -240,8 +250,8 @@ class TestLoadConfig:
         assert cfg["sensor.1.noise_sigma"] == 15.0
         scenario = scenario_from_config(cfg)
         assert scenario.meas_var == (225.0, 4.0, 4.0)
-        assert scenario.gamma == (200.0, 10.0, 10.0)
-        assert scenario.delta == 400.0
+        assert scenario.fusion.gamma == (200.0, 10.0, 10.0)
+        assert scenario.fusion.delta == 400.0
 
     def test_path_takes_priority(self, tmp_path):
         path = write_lines(tmp_path / "my.scenario", "run.frames = 9", "sensors.count = 3")
@@ -284,6 +294,40 @@ class TestScenarioFromConfig:
         cfg = parse_config_text("sensors.count = 3\nrun.seed = 5\n")
         assert scenario_from_config(cfg).seed == 5
         assert scenario_from_config(cfg, seed=11).seed == 11
+
+    def test_partial_meas_var_override_fills_from_filter_meas_var(self):
+        cfg = parse_config_text(
+            "sensors.count = 4\nfilter.meas_var = 9\nsensor.3.meas_var = 2\n"
+        )
+        assert scenario_from_config(cfg).meas_var == (9.0, 9.0, 2.0, 9.0)
+
+    def test_plant_comes_from_plant_keys_and_run_dt(self):
+        cfg = parse_config_text(
+            "sensors.count = 3\nrun.dt = 0.02\nplant.natural_freq = 3\n"
+            "plant.damping = 0.5\nplant.gain = 7\n"
+        )
+        assert scenario_from_config(cfg).plant == SecondOrderPlant(3.0, 0.5, gain=7.0, dt=0.02)
+
+    def test_default_xi_is_one_dof_on_the_scenario_path(self):
+        cfg = parse_config_text("sensors.count = 3\nexpert.confidence = 0.99\n")
+        assert scenario_from_config(cfg).fusion_config().expert.xi == chi2_xi(1, 0.99)
+        _, fusion_cfg, _ = tracking_setup_from_config(cfg, 3)
+        assert fusion_cfg.expert.xi == chi2_xi(4, 0.99)
+
+    def test_pinned_xi_wins_on_both_paths(self):
+        cfg = parse_config_text(
+            "sensors.count = 3\nexpert.xi = 2.5\nexpert.confidence = 0.99\n"
+        )
+        assert scenario_from_config(cfg).fusion_config().expert.xi == 2.5
+        assert tracking_setup_from_config(cfg, 3)[1].expert.xi == 2.5
+
+    def test_per_detector_gains_expand(self):
+        cfg = parse_config_text(
+            "sensors.count = 3\nfusion.gamma = 10\nfusion.gamma.2 = 99\n"
+        )
+        fusion_cfg = scenario_from_config(cfg).fusion_config()
+        assert fusion_cfg.gamma == (10.0, 99.0, 10.0)
+        assert fusion_cfg.delta == 1.0
 
 
 class TestParseGrid:

@@ -6,13 +6,16 @@ import pytest
 import oracles
 from habdf import (
     ContractViolationError,
+    ExpertConfig,
     FaultProfile,
+    FusionConfig,
     InsufficientDetectorsError,
     PidGains,
     PidState,
     SecondOrderPlant,
     SimScenario,
     VoteConfig,
+    chi2_xi,
     inject_faults,
     pid_step,
     plant_step,
@@ -226,10 +229,15 @@ class TestPid:
         assert np.allclose(out, replay, atol=1e-12)
 
 
+def scalar_fusion(**kw):
+    """Fusion settings with the 1-dof expert threshold scalar sensors use."""
+    return FusionConfig(expert=ExpertConfig(xi=chi2_xi(1, 0.95)), **kw)
+
+
 def small_scenario(**kw):
     base = dict(
-        frames=120, dt=0.05, natural_freq=2.0, damping=0.7, plant_gain=10.0,
-        setpoint_kind="constant", setpoint_value=1.0,
+        frames=120, plant=SecondOrderPlant(2.0, 0.7, gain=10.0, dt=0.05),
+        fusion=scalar_fusion(), setpoint_kind="constant", setpoint_value=1.0,
         faults=(FaultProfile(), FaultProfile(), FaultProfile()),
         accel_var=0.5, meas_var=1.0,
     )
@@ -284,8 +292,9 @@ class TestRunSimExperiment:
                 FaultProfile(noise_sigma=1.0),
                 FaultProfile(noise_sigma=1.0, shock_offset=-40.0, shock_window=(100, 160)),
             ),
-            vote=VoteConfig(omega0=1.0, omega=500.0, lam=30.0),
-            gamma=10.0, delta=40.0,
+            fusion=scalar_fusion(
+                vote=VoteConfig(omega0=1.0, omega=500.0, lam=30.0), gamma=10.0, delta=40.0,
+            ),
         )
         res = run_sim_experiment(sc, seed=4)
         pre = res.rvv[2, 20:100].mean()
