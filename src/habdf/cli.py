@@ -52,27 +52,16 @@ def _resolve_out(args, cfg) -> str:
 
 
 def _sim_frame_rows(result):
-    n, T = result.sensors.shape
+    series = {"sensor": result.sensors, "expert": result.experts, "wM": result.w_m,
+              "wd": result.w_d, "rvv": result.rvv}
     header = (
         ["frame", "truth"]
-        + [f"sensor_{i + 1}" for i in range(n)]
-        + [f"expert_{i + 1}" for i in range(n)]
-        + [f"wM_{i + 1}" for i in range(n)]
-        + [f"wd_{i + 1}" for i in range(n)]
-        + [f"rvv_{i + 1}" for i in range(n)]
+        + [f"{name}_{i + 1}" for name in series for i in range(result.n_sensors)]
         + ["fused", "fused_var"]
     )
-    rows = []
-    for t in range(T):
-        rows.append(
-            [int(result.frame[t]), result.truth[t]]
-            + list(result.sensors[:, t])
-            + list(result.experts[:, t])
-            + list(result.w_m[:, t])
-            + list(result.w_d[:, t])
-            + list(result.rvv[:, t])
-            + [result.fused[t], result.fused_var[t]]
-        )
+    table = np.vstack([result.truth, *series.values(), result.fused, result.fused_var])
+    # The frame cell stays an int; every other cell is a float.
+    rows = [[int(t)] + row for t, row in zip(result.frame, table.T.tolist())]
     return header, rows
 
 
@@ -80,16 +69,9 @@ SIM_SUMMARY_HEADER = ["series", "rmse", "mean_wd", "mean_wM", "mean_rvv"]
 
 
 def _sim_summary_rows(result):
-    rows = []
-    sensor_rmse = result.sensor_rmse()
-    for i in range(result.n_sensors):
-        rows.append([
-            f"sensor_{i + 1}",
-            sensor_rmse[i],
-            float(np.mean(result.w_d[i])),
-            float(np.mean(result.w_m[i])),
-            float(np.mean(result.rvv[i])),
-        ])
+    means = [a.mean(axis=1) for a in (result.w_d, result.w_m, result.rvv)]
+    table = np.column_stack([result.sensor_rmse(), *means])
+    rows = [[f"sensor_{i + 1}"] + row for i, row in enumerate(table.tolist())]
     rows.append(["fused", result.fused_rmse(), float("nan"), float("nan"), float("nan")])
     return rows
 
@@ -258,9 +240,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        name = getattr(exc, "filename", None) or (exc.args[0] if exc.args else exc)
-        print(f"error: file not found: {name}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        name = exc.filename or (exc.args[0] if exc.args else exc)
+        if isinstance(exc, FileNotFoundError):
+            print(f"error: file not found: {name}", file=sys.stderr)
+        else:
+            print(f"error: {exc.strerror}: {name}", file=sys.stderr)
         return 2
     except (ConfigError, RecordFormatError, InsufficientDetectorsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,7 +89,12 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class PerDetector:
-    """Per-frame diagnostics for one detector (NaN where absent)."""
+    """Per-frame diagnostics for one detector.
+
+    For a detector absent this frame, ``w_d`` and ``rvv_scale`` are NaN;
+    ``w_M`` is its expert's coasting score, or NaN until that expert has seen
+    a reading.
+    """
 
     w_d: float
     w_M: float
@@ -168,14 +173,14 @@ class FusionCenter:
                 w_d[i], w_m[i], self.gamma[i], self.delta[i], self.config.cov_floor
             )
 
+        # Each present expert's positional estimate, projected once per frame.
+        parts = [self.model.C @ reports[i].posterior.mean for i in present]
         state = self.state
         if state is None:
             if not present:
                 self.frame = frame
                 return None
-            parts = [self.model.C @ reports[i].posterior.mean for i in present]
-            mean0 = self.model.C.T @ np.mean(parts, axis=0)
-            state = GaussianState(mean0, self.init_cov)
+            state = GaussianState(self.model.C.T @ np.mean(parts, axis=0), self.init_cov)
 
         pred = kf_predict(state, self.model)
         per = tuple(PerDetector(w_d[i], w_m[i], scale[i]) for i in range(n))
@@ -185,9 +190,7 @@ class FusionCenter:
             return FusedEstimate(pred, per, frame, coasting=True)
 
         p = self.model.meas_dim
-        y_stack = np.concatenate(
-            [self.model.C @ reports[i].posterior.mean for i in present]
-        )
+        y_stack = np.concatenate(parts)
         r_stack = np.diag(np.repeat(scale[present], p))
         # Assembled from validated pieces: PD by the floor, shapes by stacking.
         stacked = _trusted_model(
@@ -232,16 +235,12 @@ class Pipeline:
             raise ContractViolationError(
                 f"expected {len(self.experts)} measurements, got {len(measurements)}"
             )
-        ys = [
-            None if y is None else np.asarray(y, dtype=float)
-            for y in measurements
-        ]
         # States are immutable values, so a snapshot is a set of references.
         # FusionCenter.step is atomic on its own, so only the experts need one.
         saved = [(e.state, e.last_meas, e.misses, e.frame) for e in self.experts]
         try:
-            reports = [e.step(y) for e, y in zip(self.experts, ys)]
-            return self.center.step(reports, ys)
+            reports = [e.step(y) for e, y in zip(self.experts, measurements)]
+            return self.center.step(reports, measurements)
         except BaseException:
             for e, s in zip(self.experts, saved):
                 e.state, e.last_meas, e.misses, e.frame = s

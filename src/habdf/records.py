@@ -83,7 +83,8 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def read_csv_dicts(path: str, required=()):
-    """Read a headered CSV into dict rows; checks the required columns exist."""
+    """Read a headered CSV into dict rows; checks the required columns exist
+    and that every row has one cell per header column."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -91,7 +92,12 @@ def read_csv_dicts(path: str, required=()):
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise RecordFormatError(f"{path}: missing columns {missing}")
-        return list(reader), reader.fieldnames
+        rows = list(reader)
+    for row_no, row in enumerate(rows, start=2):
+        # DictReader files extra cells under None and fills missing ones with None.
+        if None in row or None in row.values():
+            raise RecordFormatError(f"{path}: row {row_no}: wrong field count")
+    return rows, reader.fieldnames
 
 
 def _parse_int(path: str, row_no: int, name: str, raw: str) -> int:
@@ -111,6 +117,15 @@ def _parse_float(path: str, row_no: int, name: str, raw: str) -> float:
     return v
 
 
+def _frame_and_box(path: str, row_no: int, row: dict) -> tuple[int, dict]:
+    """The row's ``frame`` and its ``u,v,h,w`` floats; box sides must be >= 0."""
+    frame = _parse_int(path, row_no, "frame", row["frame"])
+    box = {k: _parse_float(path, row_no, k, row[k]) for k in ("u", "v", "h", "w")}
+    if box["h"] < 0 or box["w"] < 0:
+        raise RecordFormatError(f"{path}: row {row_no}: negative box size")
+    return frame, box
+
+
 def read_track_csv(path: str) -> list[TrackRecord]:
     """Read detector track logs, validating as it goes.
 
@@ -125,15 +140,11 @@ def read_track_csv(path: str) -> list[TrackRecord]:
     records = []
     last_frame: dict[str, int] = {}
     seen: set[tuple[int, str]] = set()
-    for idx, row in enumerate(rows):
-        row_no = idx + 2
-        if any(v is None for v in row.values()) or None in row:
-            raise RecordFormatError(f"{path}: row {row_no}: wrong field count")
-        frame = _parse_int(path, row_no, "frame", row["frame"])
+    for row_no, row in enumerate(rows, start=2):
+        frame, box = _frame_and_box(path, row_no, row)
         det = row["detector_id"].strip()
         if not det:
             raise RecordFormatError(f"{path}: row {row_no}: empty detector_id")
-        vals = {k: _parse_float(path, row_no, k, row[k]) for k in ("u", "v", "h", "w")}
         raw_valid = row["valid"].strip().lower()
         if raw_valid not in ("true", "false", "1", "0"):
             raise RecordFormatError(
@@ -149,10 +160,8 @@ def read_track_csv(path: str) -> list[TrackRecord]:
             )
         seen.add((frame, det))
         last_frame[det] = frame
-        if vals["h"] < 0 or vals["w"] < 0:
-            raise RecordFormatError(f"{path}: row {row_no}: negative box size")
         records.append(TrackRecord(
-            frame=frame, detector_id=det, valid=raw_valid in ("true", "1"), **vals,
+            frame=frame, detector_id=det, valid=raw_valid in ("true", "1"), **box,
         ))
     return records
 
@@ -167,13 +176,11 @@ def read_box_csv(path: str) -> dict[int, BoundingBox]:
     """Read any CSV carrying frame,u,v,h,w columns (extras ignored) into boxes."""
     rows, _ = read_csv_dicts(path, required=("frame", "u", "v", "h", "w"))
     out: dict[int, BoundingBox] = {}
-    for idx, row in enumerate(rows):
-        row_no = idx + 2
-        frame = _parse_int(path, row_no, "frame", row["frame"])
+    for row_no, row in enumerate(rows, start=2):
+        frame, box = _frame_and_box(path, row_no, row)
         if frame in out:
             raise RecordFormatError(f"{path}: row {row_no}: duplicate frame {frame}")
-        vals = [_parse_float(path, row_no, k, row[k]) for k in ("u", "v", "h", "w")]
-        out[frame] = BoundingBox(*vals)
+        out[frame] = BoundingBox(**box)
     return out
 
 

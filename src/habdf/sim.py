@@ -276,6 +276,10 @@ class SimScenario:
     def __post_init__(self):
         if self.frames < 1:
             raise ContractViolationError(f"frames must be >= 1, got {self.frames}")
+        if isinstance(self.meas_var, tuple) and len(self.meas_var) != len(self.faults):
+            raise ContractViolationError(
+                f"meas_var has {len(self.meas_var)} entries for {len(self.faults)} sensors"
+            )
 
     def fusion_config(self) -> FusionConfig:
         """The fusion settings, ``self.fusion``."""

@@ -95,6 +95,13 @@ class TestSimulate:
         assert main(["simulate", "--config", missing, "--out", str(tmp_path / "o.csv")]) == 2
         assert missing in capsys.readouterr().err
 
+    def test_directory_config_exits_2_without_traceback(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: Is a directory: {tmp_path}" in err
+        assert "Traceback" not in err
+
     def test_no_output_path_exits_2(self, small_scenario, capsys):
         assert main(["simulate", "--config", small_scenario]) == 2
         assert "output path" in capsys.readouterr().err
@@ -225,6 +232,29 @@ class TestFuse:
         assert rc == 2
         assert f"file not found: {missing}" in capsys.readouterr().err
 
+    def test_directory_tracks_exit_2_without_traceback(self, tmp_path, capsys):
+        rc = main(["fuse", str(tmp_path), "--config", self.write_cfg(tmp_path),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: Is a directory: {tmp_path}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("out_name, reason", [
+        ("out_dir", "Is a directory"),
+        ("tracks.csv/o.csv", "Not a directory"),
+    ])
+    def test_unwritable_out_exits_2_without_traceback(self, tmp_path, capsys, out_name,
+                                                      reason):
+        tracks = self.write_tracks(tmp_path)
+        (tmp_path / "out_dir").mkdir()
+        out = tmp_path / out_name
+        rc = main(["fuse", tracks, "--config", self.write_cfg(tmp_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {reason}: {out}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_nonfinite_cell_exit_2_naming_its_row(self, tmp_path, capsys, cell):
         path = tmp_path / "nonfinite.csv"
@@ -309,6 +339,28 @@ class TestEval:
         gt = write_boxes(tmp_path / "gt.csv", {0: (10.0, 20.0, 30.0, 40.0)})
         assert main(["eval", missing, gt, "--out", str(tmp_path / "e.csv")]) == 2
         assert f"file not found: {missing}" in capsys.readouterr().err
+
+    def test_directory_input_exits_2_without_traceback(self, tmp_path, capsys):
+        gt = write_boxes(tmp_path / "gt.csv", {0: (10.0, 20.0, 30.0, 40.0)})
+        rc = main(["eval", str(tmp_path), gt, "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: Is a directory: {tmp_path}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,2,3", "row 3: wrong field count"),
+        ("1,2,3,-4,5", "row 3: negative box size"),
+    ])
+    def test_bad_row_exits_2_naming_the_row(self, tmp_path, capsys, bad, message):
+        fused = tmp_path / "fused.csv"
+        fused.write_text(f"frame,u,v,h,w\n0,1,2,3,4\n{bad}\n")
+        gt = write_boxes(tmp_path / "gt.csv", {0: (1.0, 2.0, 3.0, 4.0)})
+        rc = main(["eval", str(fused), gt, "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {fused}: {message}" in err
+        assert "Traceback" not in err
 
     def test_no_overlap_exit_2(self, tmp_path, capsys):
         fused = write_boxes(tmp_path / "fused.csv", {0: (0.0, 0.0, 4.0, 4.0)})

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from habdf import (
+    BoundingBox,
     ContractViolationError,
     DegenerateGeometryError,
     Expert,
@@ -317,6 +318,59 @@ class TestPipeline:
             for p in est.per_detector:
                 if not np.isnan(p.rvv_scale):
                     assert p.rvv_scale >= cfg.cov_floor
+
+
+class TestPipelineInputs:
+    """Pipeline.step hands readings on as given; Expert.step and
+    FusionCenter.step each convert them."""
+
+    @staticmethod
+    def frames(n_frames, seed=5):
+        rng = np.random.default_rng(seed)
+        truth = np.array([120.0, 90.0, 40.0, 30.0])
+        return [
+            [None if rng.random() < 0.25 else truth + t + rng.normal(0, 3, 4) for _ in range(3)]
+            for t in range(n_frames)
+        ]
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_reading_count_refused_unchanged(self, count):
+        pipe = make_pipeline(3, build_track_model(meas_var=9.0))
+        for boxes in self.frames(6):
+            pipe.step(boxes)
+        before = [(e.state, e.last_meas, e.misses, e.frame) for e in pipe.experts]
+        center = (pipe.center.state, pipe.center.frame)
+
+        boxes = [np.array([120.0, 90.0, 40.0, 30.0])] * count
+        with pytest.raises(ContractViolationError, match="expected 3 measurements"):
+            pipe.step(boxes)
+
+        for e, (state, last_meas, misses, frame) in zip(pipe.experts, before):
+            assert e.state is state and e.last_meas is last_meas
+            assert (e.misses, e.frame) == (misses, frame)
+        assert pipe.center.state is center[0] and pipe.center.frame == center[1] == 5
+
+    @pytest.mark.parametrize("convert", [list, tuple, lambda y: BoundingBox(*y)],
+                             ids=["list", "tuple", "box"])
+    def test_other_reading_types_give_identical_estimates(self, convert):
+        model = build_track_model(meas_var=9.0)
+        cfg = FusionConfig(vote=VoteConfig(omega0=1.0, omega=20.0, lam=50.0))
+        arrays, others = make_pipeline(3, model, cfg), make_pipeline(3, model, cfg)
+        for boxes in self.frames(50):
+            want = arrays.step(boxes)
+            got = others.step([None if y is None else convert(y) for y in boxes])
+            if want is None:
+                assert got is None
+                continue
+            assert (got.frame, got.coasting) == (want.frame, want.coasting)
+            assert np.array_equal(got.state.mean, want.state.mean)
+            assert np.array_equal(got.state.cov, want.state.cov)
+            weights = [[(p.w_d, p.w_M, p.rvv_scale) for p in e.per_detector]
+                       for e in (got, want)]
+            assert np.array_equal(*weights, equal_nan=True)
+            for a, b in zip(others.experts, arrays.experts):
+                assert np.array_equal(a.state.mean, b.state.mean)
+                assert np.array_equal(a.state.cov, b.state.cov)
 
 
 class TestAtomicStep:

@@ -171,7 +171,7 @@ class TestReadTrackCsv:
 
     def test_short_row_rejected(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", TRACK_HEADER, "0,d,1,2,3")
-        with pytest.raises(RecordFormatError):
+        with pytest.raises(RecordFormatError, match="row 2: wrong field count"):
             read_track_csv(path)
 
 
@@ -197,6 +197,18 @@ class TestReadBoxCsv:
     def test_missing_column(self, tmp_path):
         path = write_lines(tmp_path / "b.csv", "frame,u,v,h", "0,1,2,3")
         with pytest.raises(RecordFormatError, match="missing"):
+            read_box_csv(path)
+
+    @pytest.mark.parametrize("bad", ["1,2,3", "1,2,3,4,5,6"])
+    def test_wrong_field_count_names_row(self, tmp_path, bad):
+        path = write_lines(tmp_path / "b.csv", "frame,u,v,h,w", "0,1,2,3,4", bad)
+        with pytest.raises(RecordFormatError, match=r"b\.csv: row 3: wrong field count"):
+            read_box_csv(path)
+
+    @pytest.mark.parametrize("bad", ["1,2,3,-4,5", "1,2,3,4,-5"])
+    def test_negative_side_names_row(self, tmp_path, bad):
+        path = write_lines(tmp_path / "b.csv", "frame,u,v,h,w", "0,1,2,3,4", bad)
+        with pytest.raises(RecordFormatError, match=r"b\.csv: row 3: negative box size"):
             read_box_csv(path)
 
 

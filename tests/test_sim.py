@@ -1,5 +1,7 @@
 """Bench physics: plant, faults, PID loop, and the end-to-end experiment."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from habdf import (
     VoteConfig,
     chi2_xi,
     inject_faults,
+    load_config,
     pid_step,
     plant_step,
     run_pan_loop,
@@ -25,6 +28,7 @@ from habdf import (
     setpoint_profile,
     steady_state,
 )
+from habdf.records import scenario_from_config
 
 
 class TestPlant:
@@ -274,6 +278,13 @@ class TestRunSimExperiment:
         a = run_sim_experiment(sc, seed=1)
         b = run_sim_experiment(sc, seed=2)
         assert not np.array_equal(a.sensors, b.sensors)
+
+    @pytest.mark.parametrize("meas_var", [(4.0, 4.0), (4.0,) * 4])
+    def test_meas_var_tuple_needs_one_entry_per_sensor(self, meas_var):
+        scenario = scenario_from_config(load_config("three_sensor_faults.scenario"))
+        assert run_sim_experiment(replace(scenario, meas_var=(4.0,) * 3)).n_sensors == 3
+        with pytest.raises(ContractViolationError, match=f"{len(meas_var)} entries for 3"):
+            replace(scenario, meas_var=meas_var)
 
     def test_result_shapes_and_defaults(self):
         sc = small_scenario()
