@@ -60,7 +60,7 @@ print("approach          mean J   mean dist   success")
 for row in summarize(per_track):
     print(f"{row.approach:>15}  {row.mean_jaccard:7.3f}  {row.mean_distance:10.2f}  {row.success_rate:8.3f}")
 
-wd = [p.w_d for p in est.per_detector]
+wd = est.w_d
 print()
 print(f"final-frame vote penalties: A {wd[0]:.2f}  B {wd[1]:.2f}  C {wd[2]:.2f}")
 print("the frozen detector ends pinned at the maximum penalty")

@@ -30,7 +30,6 @@ from .fusion import (
     FusedEstimate,
     FusionCenter,
     FusionConfig,
-    PerDetector,
     Pipeline,
     adapt_rvv,
     make_pipeline,
@@ -96,7 +95,6 @@ __all__ = [
     "HabdfError",
     "InsufficientDetectorsError",
     "LinearModel",
-    "PerDetector",
     "PidGains",
     "PidState",
     "Pipeline",

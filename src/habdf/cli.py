@@ -122,11 +122,7 @@ def cmd_fuse(args) -> int:
         if est is None:
             continue  # nothing seen yet on any detector
         box = model.C @ est.state.mean
-        row = [frame] + list(box)
-        row += [p.w_d for p in est.per_detector]
-        row += [p.w_M for p in est.per_detector]
-        row += [p.rvv_scale for p in est.per_detector]
-        rows.append(row)
+        rows.append([frame, *box, *est.w_d, *est.w_M, *est.rvv_scale])
     write_csv(args.out, header, rows)
     print(f"wrote {args.out} ({len(rows)} frames, {len(ids)} detectors)")
     return 0

@@ -30,7 +30,6 @@ from .voting import VoteConfig, _nearest_peer, vote_weight
 __all__ = [
     "adapt_rvv",
     "FusionConfig",
-    "PerDetector",
     "FusedEstimate",
     "FusionCenter",
     "Pipeline",
@@ -88,25 +87,20 @@ class FusionConfig:
 
 
 @dataclass(frozen=True)
-class PerDetector:
-    """Per-frame diagnostics for one detector.
+class FusedEstimate:
+    """Fusion output for one frame: center belief plus per-detector weights.
 
-    For a detector absent this frame, ``w_d`` and ``rvv_scale`` are NaN;
-    ``w_M`` is its expert's coasting score, or NaN until that expert has seen
-    a reading.
+    ``w_d``, ``w_M`` and ``rvv_scale`` are ``(n,)`` arrays indexed by
+    detector: the vote penalty, the expert's reliability penalty and the
+    adapted noise scale. For a detector absent this frame, ``w_d`` and
+    ``rvv_scale`` are NaN; ``w_M`` is its expert's coasting score, or NaN
+    until that expert has seen a reading.
     """
 
-    w_d: float
-    w_M: float
-    rvv_scale: float
-
-
-@dataclass(frozen=True)
-class FusedEstimate:
-    """Fusion output for one frame: center belief plus per-detector weights."""
-
     state: GaussianState
-    per_detector: tuple[PerDetector, ...]
+    w_d: np.ndarray
+    w_M: np.ndarray
+    rvv_scale: np.ndarray
     frame: int
     coasting: bool = False
 
@@ -183,11 +177,9 @@ class FusionCenter:
             state = GaussianState(self.model.C.T @ np.mean(parts, axis=0), self.init_cov)
 
         pred = kf_predict(state, self.model)
-        per = tuple(PerDetector(w_d[i], w_m[i], scale[i]) for i in range(n))
-
         if not present:
             self.state, self.frame = pred, frame
-            return FusedEstimate(pred, per, frame, coasting=True)
+            return FusedEstimate(pred, w_d, w_m, scale, frame, coasting=True)
 
         p = self.model.meas_dim
         y_stack = np.concatenate(parts)
@@ -199,7 +191,7 @@ class FusionCenter:
         )
         post, _, _ = kf_update(pred, stacked, y_stack)
         self.state, self.frame = post, frame
-        return FusedEstimate(post, per, frame, coasting=False)
+        return FusedEstimate(post, w_d, w_m, scale, frame, coasting=False)
 
 
 class Pipeline:

@@ -46,7 +46,8 @@ def jaccard(a, b) -> float:
     union = p.w * p.h + r.w * r.h - inter
     if union <= 0.0:
         return 0.0
-    return float(inter / union)
+    # Rounding can push the ratio of equal boxes a few ulps past 1.
+    return float(min(1.0, inter / union))
 
 
 def gt_distance(estimate, truth) -> float:

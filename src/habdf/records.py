@@ -82,9 +82,9 @@ def write_csv(path: str, header, rows) -> None:
             fh.write(",".join(format_value(c) for c in row) + "\n")
 
 
-def read_csv_dicts(path: str, required=()):
-    """Read a headered CSV into dict rows; checks the required columns exist
-    and that every row has one cell per header column."""
+def _numbered_rows(path: str, required=()):
+    """Each dict row of a headered CSV with its 1-based file line, plus the
+    header. Blank lines are skipped but still counted."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -92,12 +92,19 @@ def read_csv_dicts(path: str, required=()):
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise RecordFormatError(f"{path}: missing columns {missing}")
-        rows = list(reader)
-    for row_no, row in enumerate(rows, start=2):
+        rows = [(reader.line_num, row) for row in reader]
+    for row_no, row in rows:
         # DictReader files extra cells under None and fills missing ones with None.
         if None in row or None in row.values():
             raise RecordFormatError(f"{path}: row {row_no}: wrong field count")
     return rows, reader.fieldnames
+
+
+def read_csv_dicts(path: str, required=()):
+    """Read a headered CSV into dict rows; checks the required columns exist
+    and that every row has one cell per header column."""
+    rows, fields = _numbered_rows(path, required)
+    return [row for _, row in rows], fields
 
 
 def _parse_int(path: str, row_no: int, name: str, raw: str) -> int:
@@ -132,7 +139,7 @@ def read_track_csv(path: str) -> list[TrackRecord]:
     Errors carry the 1-based file row number (header is row 1). Frames must
     be nondecreasing per detector and (frame, detector) pairs unique.
     """
-    rows, fields = read_csv_dicts(path, required=TRACK_HEADER)
+    rows, fields = _numbered_rows(path, required=TRACK_HEADER)
     if list(fields) != TRACK_HEADER:
         raise RecordFormatError(
             f"{path}: header must be exactly {','.join(TRACK_HEADER)}"
@@ -140,7 +147,7 @@ def read_track_csv(path: str) -> list[TrackRecord]:
     records = []
     last_frame: dict[str, int] = {}
     seen: set[tuple[int, str]] = set()
-    for row_no, row in enumerate(rows, start=2):
+    for row_no, row in rows:
         frame, box = _frame_and_box(path, row_no, row)
         det = row["detector_id"].strip()
         if not det:
@@ -174,9 +181,9 @@ def write_track_csv(path: str, records) -> None:
 
 def read_box_csv(path: str) -> dict[int, BoundingBox]:
     """Read any CSV carrying frame,u,v,h,w columns (extras ignored) into boxes."""
-    rows, _ = read_csv_dicts(path, required=("frame", "u", "v", "h", "w"))
+    rows, _ = _numbered_rows(path, required=("frame", "u", "v", "h", "w"))
     out: dict[int, BoundingBox] = {}
-    for row_no, row in enumerate(rows, start=2):
+    for row_no, row in rows:
         frame, box = _frame_and_box(path, row_no, row)
         if frame in out:
             raise RecordFormatError(f"{path}: row {row_no}: duplicate frame {frame}")
@@ -224,15 +231,16 @@ CONFIG_SCHEMA: dict[str, _Key] = {
     "fusion.stale_after": _Key(int, 30),
 }
 
-# Indexed keys: sensor.<i>.field and per-detector fusion gains.
+# Indexed keys: sensor.<i>.field and per-detector fusion gains. Types only: an
+# unset key takes the default of the code that reads it.
 _PATTERN_SCHEMA: list[tuple[re.Pattern, _Key]] = [
-    (re.compile(r"^sensor\.\d+\.noise_sigma$"), _Key(float, 0.0)),
-    (re.compile(r"^sensor\.\d+\.spike_prob$"), _Key(float, 0.0)),
-    (re.compile(r"^sensor\.\d+\.spike_mag$"), _Key(float, 0.0)),
-    (re.compile(r"^sensor\.\d+\.drift_rate$"), _Key(float, 0.0)),
-    (re.compile(r"^sensor\.\d+\.shock_offset$"), _Key(float, 0.0)),
-    (re.compile(r"^sensor\.\d+\.shock_start$"), _Key(int, 0)),
-    (re.compile(r"^sensor\.\d+\.shock_end$"), _Key(int, 0)),
+    (re.compile(r"^sensor\.\d+\.noise_sigma$"), _Key(float)),
+    (re.compile(r"^sensor\.\d+\.spike_prob$"), _Key(float)),
+    (re.compile(r"^sensor\.\d+\.spike_mag$"), _Key(float)),
+    (re.compile(r"^sensor\.\d+\.drift_rate$"), _Key(float)),
+    (re.compile(r"^sensor\.\d+\.shock_offset$"), _Key(float)),
+    (re.compile(r"^sensor\.\d+\.shock_start$"), _Key(int)),
+    (re.compile(r"^sensor\.\d+\.shock_end$"), _Key(int)),
     (re.compile(r"^sensor\.\d+\.meas_var$"), _Key(float)),
     (re.compile(r"^fusion\.gamma\.\d+$"), _Key(float)),
     (re.compile(r"^fusion\.delta\.\d+$"), _Key(float)),

@@ -359,11 +359,8 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
     fused_var = np.empty(T)
     for t in range(T):
         est = pipe.step([sensors[i, t:t + 1] for i in range(n)])
-        for i, (e, per) in enumerate(zip(pipe.experts, est.per_detector)):
-            experts[i, t] = e.state.mean[0]
-            w_m[i, t] = per.w_M
-            w_d[i, t] = per.w_d
-            rvv[i, t] = per.rvv_scale
+        experts[:, t] = [e.state.mean[0] for e in pipe.experts]
+        w_m[:, t], w_d[:, t], rvv[:, t] = est.w_M, est.w_d, est.rvv_scale
         fused[t] = est.state.mean[0]
         fused_var[t] = est.state.cov[0, 0]
 

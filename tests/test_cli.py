@@ -147,6 +147,20 @@ class TestFuse:
         for col in ("wd_a", "wd_b", "wd_c", "wM_a", "rvv_c"):
             assert col in header
 
+    def test_fused_file_evaluates_against_itself(self, tmp_path, capsys):
+        # Some fused boxes give an IoU a few ulps past 1 with themselves.
+        tracks = str(tmp_path / "tracks.csv")
+        write_track_csv(tracks, [
+            TrackRecord(t, d, 100.0 + t, 50.0 + t, 40.0, 30.0, True)
+            for t in range(5) for d in "abc"
+        ])
+        fused = str(tmp_path / "fused.csv")
+        assert main(["fuse", tracks, "--config", self.write_cfg(tmp_path), "--out", fused]) == 0
+        assert main(["eval", fused, fused, "--out", str(tmp_path / "eval.csv")]) == 0
+        summary, _ = read_csv_dicts(str(tmp_path / "eval_summary.csv"))
+        assert float(summary[0]["success_rate"]) == 1.0
+        assert "success rate 1" in capsys.readouterr().out
+
     def test_two_detectors_exit_2_citing_three(self, tmp_path, capsys):
         tracks = self.write_tracks(tmp_path, n_dets=2)
         rc = main(["fuse", tracks, "--config", self.write_cfg(tmp_path),

@@ -108,9 +108,8 @@ class TestFusionCenterBasics:
         assert not est.coasting
         assert np.allclose(model.C @ est.state.mean, box, atol=1e-9)
         # same weights on every detector
-        per = est.per_detector
-        assert len({p.w_d for p in per}) == 1
-        assert len({round(p.rvv_scale, 12) for p in per}) == 1
+        assert len(set(est.w_d)) == 1
+        assert len({round(s, 12) for s in est.rvv_scale}) == 1
 
     def test_coasting_flagged_when_all_absent(self):
         model = build_track_model()
@@ -119,14 +118,14 @@ class TestFusionCenterBasics:
         center.step([make_report(model, box)] * 3, [box] * 3)
         est = center.step([None] * 3, [None] * 3)
         assert est.coasting
-        assert all(np.isnan(p.rvv_scale) for p in est.per_detector)
+        assert np.isnan(est.rvv_scale).all()
 
     def test_lone_detector_gets_no_peer_penalty(self):
         model = build_track_model()
         center = FusionCenter(model, 3, FusionConfig(vote=VoteConfig(1.0, 2.0, 50.0)))
         box = np.array([10.0, 10.0, 5.0, 5.0])
         est = center.step([None, make_report(model, box), None], [None, box, None])
-        w = est.per_detector[1].w_d
+        w = est.w_d[1]
         assert w == pytest.approx(1.0 + 2.0 * (1.0 + np.tanh(-50.0)), abs=1e-12)
 
 
@@ -144,8 +143,8 @@ class TestStackedOracleEquivalence:
         reports = [make_report(model, b, w_M=0.25) for b in boxes]
         est = center.step(reports, boxes)
 
-        s = est.per_detector[0].rvv_scale
-        assert all(p.rvv_scale == pytest.approx(s, abs=1e-12) for p in est.per_detector)
+        s = est.rvv_scale[0]
+        assert all(r == pytest.approx(s, abs=1e-12) for r in est.rvv_scale)
         pm, pc = oracles.naive_predict(prior_mean, prior_cov, model.A, model.Rww)
         C_stack = np.vstack([model.C] * 3)
         y_stack = np.concatenate(boxes)
@@ -168,7 +167,7 @@ class TestStackedOracleEquivalence:
 
         w_d = 1.0 + (1.0 + np.tanh(-50.0))
         s = 2.0 * w_d + 3.0 * 0.3
-        assert est.per_detector[1].rvv_scale == pytest.approx(s, abs=1e-12)
+        assert est.rvv_scale[1] == pytest.approx(s, abs=1e-12)
         pm, pc = oracles.naive_predict(prior_mean, prior_cov, model.A, model.Rww)
         m, P = oracles.naive_update(pm, pc, model.C, s * np.eye(4), box)
         assert np.allclose(est.state.mean, m, atol=1e-9, rtol=1e-9)
@@ -193,7 +192,7 @@ class TestStackedOracleEquivalence:
         est = center.step(reports, [good, good, rogue])
 
         pm, pc = oracles.naive_predict(prior_mean, prior_cov, model.A, model.Rww)
-        scales = [p.rvv_scale for p in est.per_detector]
+        scales = est.rvv_scale
         # closed-form weighted answer using only the two agreeing detectors
         two_box = oracles.wls_mean(pm, pc, [model.C, model.C], scales[:2], [good, good])
         fused_box = model.C @ est.state.mean
@@ -292,7 +291,7 @@ class TestPipeline:
         for t in range(100):
             boxes = [truth + vel * t + rng.normal(0, 3, 4) for _ in range(5)]
             est = pipe.step(boxes)
-            scales.append([p.rvv_scale for p in est.per_detector])
+            scales.append(est.rvv_scale)
         scales = np.array(scales[10:])
         for i in range(5):
             med = np.median(scales[:, i])
@@ -315,9 +314,32 @@ class TestPipeline:
             eigs = np.linalg.eigvalsh(est.state.cov)
             scale = max(1.0, float(np.abs(est.state.cov).max()))
             assert eigs.min() >= -1e-9 * scale
-            for p in est.per_detector:
-                if not np.isnan(p.rvv_scale):
-                    assert p.rvv_scale >= cfg.cov_floor
+            for r in est.rvv_scale:
+                if not np.isnan(r):
+                    assert r >= cfg.cov_floor
+
+    def test_weight_arrays_follow_ragged_presence(self):
+        """32 detectors, each absent a third of the time and the last four
+        silent until frame 10: w_d and rvv_scale are NaN exactly where a
+        detector is absent, and w_M only until its expert's first reading."""
+        n = 32
+        pipe = make_pipeline(n, build_track_model(meas_var=9.0))
+        rng = np.random.default_rng(8)
+        truth = np.array([200.0, 150.0, 60.0, 40.0])
+        seen = np.zeros(n, dtype=bool)
+        for t in range(20):
+            present = rng.random(n) > 1 / 3
+            present[0] = True
+            present[n - 4:] &= t >= 10
+            seen |= present
+            est = pipe.step([truth + t + rng.normal(0, 3, 4) if p else None for p in present])
+            for arr in (est.w_d, est.w_M, est.rvv_scale):
+                assert arr.shape == (n,)
+            assert np.array_equal(np.isnan(est.w_d), ~present)
+            assert np.array_equal(np.isnan(est.rvv_scale), ~present)
+            assert np.array_equal(np.isnan(est.w_M), ~seen)
+            assert (est.rvv_scale[present] > 0).all()
+            assert ((est.w_M[seen] > 0) & (est.w_M[seen] < 1)).all()
 
 
 class TestPipelineInputs:
@@ -365,8 +387,7 @@ class TestPipelineInputs:
             assert (got.frame, got.coasting) == (want.frame, want.coasting)
             assert np.array_equal(got.state.mean, want.state.mean)
             assert np.array_equal(got.state.cov, want.state.cov)
-            weights = [[(p.w_d, p.w_M, p.rvv_scale) for p in e.per_detector]
-                       for e in (got, want)]
+            weights = [np.stack((e.w_d, e.w_M, e.rvv_scale)) for e in (got, want)]
             assert np.array_equal(*weights, equal_nan=True)
             for a, b in zip(others.experts, arrays.experts):
                 assert np.array_equal(a.state.mean, b.state.mean)
@@ -409,7 +430,8 @@ class TestAtomicStep:
             assert got.frame == want.frame
             assert np.array_equal(got.state.mean, want.state.mean)
             assert np.array_equal(got.state.cov, want.state.cov)
-            assert got.per_detector == want.per_detector
+            for name in ("w_d", "w_M", "rvv_scale"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
 
     def test_failed_first_frame_leaves_pipeline_unstarted(self):
         pipe = make_pipeline(3, build_track_model())
@@ -455,7 +477,7 @@ class TestAtomicStep:
 
         est = coasting.step([None] * 3)
         assert est is not None and est.coasting
-        assert np.isfinite([p.w_M for p in est.per_detector]).all()
+        assert np.isfinite(est.w_M).all()
         for e in coasting.experts:
             S = model.C @ e.state.cov @ model.C.T + model.Rvv
             d = np.linalg.cholesky(S).diagonal()
@@ -569,8 +591,7 @@ class TestFaultSequenceProperty:
                     assert np.isfinite(est.state.cov).all()
                     assert np.array_equal(est.state.mean, want.state.mean)
                     assert np.array_equal(est.state.cov, want.state.cov)
-                    weights = [[(p.w_d, p.w_M, p.rvv_scale) for p in e.per_detector]
-                               for e in (est, want)]
+                    weights = [np.stack((e.w_d, e.w_M, e.rvv_scale)) for e in (est, want)]
                     assert np.array_equal(*weights, equal_nan=True)
                 last_good = [b if b is not None and np.isfinite(b).all() and abs(b).max() < 1e6
                              else g for b, g in zip(boxes, last_good)]

@@ -17,8 +17,10 @@ from habdf import (
 
 
 class TestJaccard:
-    def test_identical_boxes(self):
-        b = BoundingBox(10.0, 20.0, 30.0, 40.0)
+    # The second box's ratio rounds a few ulps past 1 unless clamped.
+    @pytest.mark.parametrize("b", [BoundingBox(10.0, 20.0, 30.0, 40.0),
+                                   BoundingBox(100.995011, 50.9950114, 40.0, 30.0)])
+    def test_identical_boxes(self, b):
         assert jaccard(b, b) == 1.0
 
     def test_disjoint_boxes(self):

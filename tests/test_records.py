@@ -80,6 +80,11 @@ class TestCsvRoundTrip:
         assert fields == ["x", "ok"]
         assert rows[0] == {"x": "1.5", "ok": "true"}
 
+    def test_wrong_field_count_names_the_file_line_past_blank_lines(self, tmp_path):
+        path = write_lines(tmp_path / "g.csv", "x,y", "1,2", "", "", "3")
+        with pytest.raises(RecordFormatError, match=r"g\.csv: row 5: wrong field count"):
+            read_csv_dicts(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_csv_dicts(str(tmp_path / "nope.csv"))
@@ -106,13 +111,16 @@ class TestReadTrackCsv:
         with pytest.raises(RecordFormatError, match="header"):
             read_track_csv(path)
 
-    def test_bad_float_names_row(self, tmp_path):
+    @pytest.mark.parametrize("blanks", [0, 2])
+    def test_bad_float_names_row(self, tmp_path, blanks):
+        # Blank lines are skipped but still counted.
         path = write_lines(
             tmp_path / "t.csv", TRACK_HEADER,
             "0,det1,1,2,3,4,true",
+            *[""] * blanks,
             "1,det1,oops,2,3,4,true",
         )
-        with pytest.raises(RecordFormatError, match="row 3"):
+        with pytest.raises(RecordFormatError, match=f"row {3 + blanks}: bad u"):
             read_track_csv(path)
 
     def test_nonfinite_rejected(self, tmp_path):
@@ -205,10 +213,11 @@ class TestReadBoxCsv:
         with pytest.raises(RecordFormatError, match=r"b\.csv: row 3: wrong field count"):
             read_box_csv(path)
 
+    @pytest.mark.parametrize("blanks", [0, 2])
     @pytest.mark.parametrize("bad", ["1,2,3,-4,5", "1,2,3,4,-5"])
-    def test_negative_side_names_row(self, tmp_path, bad):
-        path = write_lines(tmp_path / "b.csv", "frame,u,v,h,w", "0,1,2,3,4", bad)
-        with pytest.raises(RecordFormatError, match=r"b\.csv: row 3: negative box size"):
+    def test_negative_side_names_row(self, tmp_path, bad, blanks):
+        path = write_lines(tmp_path / "b.csv", "frame,u,v,h,w", "0,1,2,3,4", *[""] * blanks, bad)
+        with pytest.raises(RecordFormatError, match=rf"b\.csv: row {3 + blanks}: negative box size"):
             read_box_csv(path)
 
 
