@@ -24,8 +24,7 @@ from .metrics import FrameEval, gt_distance, jaccard, success, summarize
 from .records import (
     load_config,
     parse_grid,
-    read_box_csv,
-    read_track_csv,
+    read_columns,
     scenario_from_config,
     tracking_setup_from_config,
     write_csv,
@@ -94,10 +93,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    records = read_track_csv(args.tracks)
-    if not records:
+    frames, boxes, ids, det, valid = read_columns(args.tracks, track=True)
+    if not frames.size:
         raise RecordFormatError(f"{args.tracks}: no records")
-    ids = sorted({r.detector_id for r in records})
     if len(ids) < 3:
         raise InsufficientDetectorsError(
             f"{args.tracks} carries {len(ids)} detectors; "
@@ -107,41 +105,45 @@ def cmd_fuse(args) -> int:
     model, config, init_var = tracking_setup_from_config(cfg, len(ids))
     pipe = make_pipeline(len(ids), model, config, init_var)
 
-    lookup = {(r.frame, r.detector_id): r for r in records}
-    frames = sorted({r.frame for r in records})
-    header = ["frame", "u", "v", "h", "w"]
-    for name in ("wd", "wM", "rvv"):
-        header += [f"{name}_{d}" for d in ids]
-    rows = []
-    for frame in frames:
-        meas = []
-        for d in ids:
-            rec = lookup.get((frame, d))
-            meas.append(rec.box().as_array() if rec is not None and rec.valid else None)
+    header = ["frame", "u", "v", "h", "w"] + [
+        f"{name}_{d}" for name in ("wd", "wM", "rvv") for d in ids]
+    # Valid readings sorted by frame; each frame's readings end where the next
+    # frame starts. A frame whose rows are all invalid still steps.
+    steps = np.unique(frames)
+    keep = np.flatnonzero(valid)
+    keep = keep[np.argsort(frames[keep], kind="stable")]
+    ends = np.searchsorted(frames[keep], steps, side="right").tolist()
+    slots, readings = det[keep].tolist(), boxes[keep]
+    rows, start = [], 0
+    for frame, end in zip(steps.tolist(), ends):
+        meas = [None] * len(ids)
+        for i in range(start, end):
+            meas[slots[i]] = readings[i]
+        start = end
         est = pipe.step(meas)
         if est is None:
             continue  # nothing seen yet on any detector
-        box = model.C @ est.state.mean
-        rows.append([frame, *box, *est.w_d, *est.w_M, *est.rvv_scale])
+        box = (model.C @ est.state.mean).tolist()
+        rows.append([frame, *box, *est.w_d.tolist(), *est.w_M.tolist(),
+                     *est.rvv_scale.tolist()])
     write_csv(args.out, header, rows)
     print(f"wrote {args.out} ({len(rows)} frames, {len(ids)} detectors)")
     return 0
 
 
 def cmd_eval(args) -> int:
-    fused = read_box_csv(args.fused)
-    gt = read_box_csv(args.gt)
-    common = sorted(set(fused) & set(gt))
-    skipped = (len(fused) - len(common)) + (len(gt) - len(common))
-    if not common:
+    fused_frames, fused = read_columns(args.fused)
+    gt_frames, gt = read_columns(args.gt)
+    common, fi, gi = np.intersect1d(fused_frames, gt_frames, assume_unique=True,
+                                    return_indices=True)
+    skipped = fused_frames.size + gt_frames.size - 2 * common.size
+    if not common.size:
         raise RecordFormatError(
             f"no overlapping frames between {args.fused} and {args.gt}"
         )
-    evals = []
-    for frame in common:
-        j = jaccard(fused[frame], gt[frame])
-        d = gt_distance(fused[frame], gt[frame])
-        evals.append(FrameEval(frame, j, d, success(j, d)))
+    j = jaccard(fused[fi], gt[gi]).tolist()
+    d = gt_distance(fused[fi], gt[gi]).tolist()
+    evals = list(map(FrameEval, common.tolist(), j, d, map(success, j, d)))
     write_csv(
         args.out,
         ["frame", "jaccard", "distance", "success"],

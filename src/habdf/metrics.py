@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,36 +24,52 @@ JACCARD_MIN = 0.5
 DISTANCE_MAX = 50.0
 
 
-def _box(b) -> BoundingBox:
-    if isinstance(b, BoundingBox):
-        return b
+def _boxes(b) -> np.ndarray:
+    """A BoundingBox, a 4-vector or an (m, 4) stack as a float array of boxes
+    that BoundingBox accepts."""
     a = np.asarray(b, dtype=float)
-    if a.shape != (4,):
-        raise ContractViolationError(f"expected a BoundingBox or 4-vector, got shape {a.shape}")
-    return BoundingBox(*a)
+    if a.shape[-1:] != (4,) or a.ndim > 2:
+        raise ContractViolationError(f"expected a box or an (m, 4) stack, got shape {a.shape}")
+    bad = ~np.isfinite(a).all(axis=-1) | (a[..., 2:] < 0).any(axis=-1)
+    if bad.any():
+        BoundingBox(*a.reshape(-1, 4)[bad.reshape(-1).argmax()])  # raises its message
+    return a
 
 
-def jaccard(a, b) -> float:
+def jaccard(a, b):
     """Intersection-over-union of two axis-aligned boxes (real-valued geometry).
 
     Boxes are centers plus sizes; degenerate boxes with zero-area union give 0.
+    Two (m, 4) stacks give an (m,) array, each entry as a pair of boxes gives.
     """
-    p, r = _box(a), _box(b)
-    left = max(p.u - p.w / 2, r.u - r.w / 2)
-    right = min(p.u + p.w / 2, r.u + r.w / 2)
-    bottom = max(p.v - p.h / 2, r.v - r.h / 2)
-    top = min(p.v + p.h / 2, r.v + r.h / 2)
-    inter = max(0.0, right - left) * max(0.0, top - bottom)
-    union = p.w * p.h + r.w * r.h - inter
-    if union <= 0.0:
-        return 0.0
-    # Rounding can push the ratio of equal boxes a few ulps past 1.
-    return float(min(1.0, inter / union))
+    (pu, pv, ph, pw), (ru, rv, rh, rw) = _boxes(a).T, _boxes(b).T
+    with np.errstate(all="ignore"):  # overflow to inf, as Python floats do
+        left = np.maximum(pu - pw / 2, ru - rw / 2)
+        right = np.minimum(pu + pw / 2, ru + rw / 2)
+        bottom = np.maximum(pv - ph / 2, rv - rh / 2)
+        top = np.minimum(pv + ph / 2, rv + rh / 2)
+        inter = np.maximum(0.0, right - left) * np.maximum(0.0, top - bottom)
+        union = pw * ph + rw * rh - inter
+        ratio = inter / union
+        # Rounding can push the ratio of equal boxes a few ulps past 1; a NaN
+        # ratio (inf - inf) reads 1, as min(1.0, nan) does. np.maximum can keep
+        # a -0.0 that max(0.0, -0.0) drops; adding 0.0 turns it into 0.0.
+        j = np.where(union <= 0.0, 0.0, np.where(ratio < 1.0, ratio, 1.0)) + 0.0
+    return float(j) if j.ndim == 0 else j
 
 
-def gt_distance(estimate, truth) -> float:
-    """Distance to ground truth; same (u, v, h, w) metric the voting uses."""
-    return box_distance(_box(estimate), _box(truth))
+def gt_distance(estimate, truth):
+    """Distance to ground truth; same (u, v, h, w) metric the voting uses.
+
+    Two (m, 4) stacks give an (m,) array. Each row is ``sqrt(d . d)``, as
+    box_distance takes it, so it equals that pair's distance bit for bit; a
+    summed or einsum square differs in the last bit.
+    """
+    p, r = _boxes(estimate), _boxes(truth)
+    if p.ndim == r.ndim == 1:
+        return box_distance(p, r)
+    d = np.atleast_2d(p - r)
+    return np.sqrt(np.fromiter(map(np.dot, d, d), float, len(d)))
 
 
 def success(j: float, d: float, j_min: float = JACCARD_MIN,
@@ -61,9 +78,9 @@ def success(j: float, d: float, j_min: float = JACCARD_MIN,
 
     Both bounds are inclusive.
     """
-    if np.isnan(j) or not (0.0 <= j <= 1.0):
+    if math.isnan(j) or not (0.0 <= j <= 1.0):
         raise ContractViolationError(f"jaccard must be in [0, 1], got {j}")
-    if np.isnan(d) or d < 0:
+    if math.isnan(d) or d < 0:
         raise ContractViolationError(f"distance must be >= 0, got {d}")
     return bool(j >= j_min and d <= d_max)
 
@@ -80,7 +97,7 @@ class FrameEval:
     def __post_init__(self):
         if not (0.0 <= self.jaccard <= 1.0):
             raise ContractViolationError(f"jaccard must be in [0, 1], got {self.jaccard}")
-        if not (self.distance >= 0 and np.isfinite(self.distance)):
+        if not (self.distance >= 0 and math.isfinite(self.distance)):
             raise ContractViolationError(f"distance must be finite >= 0, got {self.distance}")
 
 

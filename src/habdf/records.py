@@ -15,6 +15,7 @@ import os
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "read_track_csv",
     "write_track_csv",
     "read_box_csv",
+    "read_columns",
     "load_config",
     "parse_config_text",
     "parse_grid",
@@ -56,121 +58,160 @@ class TrackRecord:
     w: float
     valid: bool
 
-    def box(self) -> BoundingBox:
-        return BoundingBox(self.u, self.v, self.h, self.w)
+
+_SPECS = (((bool, np.bool_), "%s"), ((int, np.integer), "%d"), ((float, np.floating), "%.9g"))
+
+
+def _cell_spec(t) -> str:
+    """The ``%`` spec of a cell of type ``t``; a bool goes to it as a word."""
+    return next((spec for kinds, spec in _SPECS if issubclass(t, kinds)), "%s")
 
 
 def format_value(x) -> str:
-    """Canonical CSV cell: floats at 9 significant digits, bools true/false."""
-    if isinstance(x, bool) or isinstance(x, np.bool_):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return "%.9g" % float(x)
-    s = str(x)
+    """Canonical CSV cell: ints as digits, floats at 9 significant digits,
+    bools true/false; no cell may hold a comma or newline."""
+    if isinstance(x, (bool, np.bool_)):
+        x = "true" if x else "false"
+    s = _cell_spec(type(x)) % (x,)
     if "," in s or "\n" in s:
         raise RecordFormatError(f"cell value {s!r} would break the CSV layout")
     return s
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Write rows of cells through format_value with LF newlines."""
+    """Write rows with LF newlines, each cell as format_value writes it: one
+    ``%`` string per row, built once per sequence of cell types."""
+    formats = {}
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(c) for c in row) + "\n")
+            types = tuple(map(type, row))
+            if types not in formats:
+                bools = [k for k, t in enumerate(types) if issubclass(t, (bool, np.bool_))]
+                formats[types] = ",".join(map(_cell_spec, types)) + "\n", bools
+            fmt, bools = formats[types]
+            if bools:
+                row = list(row)
+                for k in bools:
+                    row[k] = "true" if row[k] else "false"
+            line = fmt % tuple(row)
+            if line.count(",") >= len(types) or line.count("\n") > 1:
+                list(map(format_value, row))  # raises, naming the cell
+            fh.write(line)
 
 
-def _numbered_rows(path: str, required=()):
-    """Each dict row of a headered CSV with its 1-based file line, plus the
-    header. Blank lines are skipped but still counted."""
+def _first(mask) -> int | None:
+    """Index of the first true entry of ``mask``, None if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _read_rows(path: str, required=()):
+    """Header, data rows and their 1-based file lines; blank lines are skipped
+    but counted, and every row must have one cell per header column."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise RecordFormatError(f"{path}: empty file, expected a header row")
-        missing = [c for c in required if c not in reader.fieldnames]
+        missing = [c for c in required if c not in header]
         if missing:
             raise RecordFormatError(f"{path}: missing columns {missing}")
-        rows = [(reader.line_num, row) for row in reader]
-    for row_no, row in rows:
-        # DictReader files extra cells under None and fills missing ones with None.
-        if None in row or None in row.values():
-            raise RecordFormatError(f"{path}: row {row_no}: wrong field count")
-    return rows, reader.fieldnames
+        numbered = [(reader.line_num, row) for row in reader if row]
+    lines, rows = zip(*numbered) if numbered else ((), ())
+    if (bad := _first(np.fromiter(map(len, rows), int, len(rows)) != len(header))) is not None:
+        raise RecordFormatError(f"{path}: row {lines[bad]}: wrong field count")
+    return header, rows, lines
 
 
 def read_csv_dicts(path: str, required=()):
     """Read a headered CSV into dict rows; checks the required columns exist
     and that every row has one cell per header column."""
-    rows, fields = _numbered_rows(path, required)
-    return [row for _, row in rows], fields
+    header, rows, _ = _read_rows(path, required)
+    return [dict(zip(header, row)) for row in rows], header
 
 
-def _parse_int(path: str, row_no: int, name: str, raw: str) -> int:
+def _column(cells, conv):
+    """``conv`` of each cell as an array, cut before the first cell that it
+    refuses or that int64 cannot hold; with that cell's index or None."""
+    out = []
     try:
-        return int(raw)
+        out.extend(map(conv, cells))
     except ValueError:
-        raise RecordFormatError(f"{path}: row {row_no}: bad {name} value {raw!r}") from None
-
-
-def _parse_float(path: str, row_no: int, name: str, raw: str) -> float:
+        pass
+    bad = len(out) if len(out) < len(cells) else None
     try:
-        v = float(raw)
-    except ValueError:
-        raise RecordFormatError(f"{path}: row {row_no}: bad {name} value {raw!r}") from None
-    if not math.isfinite(v):
-        raise RecordFormatError(f"{path}: row {row_no}: {name} must be finite, got {raw!r}")
-    return v
+        return np.array(out, dtype=float if conv is float else np.int64), bad
+    except OverflowError:  # a frame past int64
+        big = np.array(out, dtype=object)
+        bad = _first((big > 2**63 - 1) | (big < -2**63))
+        return np.array(out[:bad], dtype=np.int64), bad
 
 
-def _frame_and_box(path: str, row_no: int, row: dict) -> tuple[int, dict]:
-    """The row's ``frame`` and its ``u,v,h,w`` floats; box sides must be >= 0."""
-    frame = _parse_int(path, row_no, "frame", row["frame"])
-    box = {k: _parse_float(path, row_no, k, row[k]) for k in ("u", "v", "h", "w")}
-    if box["h"] < 0 or box["w"] < 0:
-        raise RecordFormatError(f"{path}: row {row_no}: negative box size")
-    return frame, box
+_VALID = {"true": True, "1": True, "false": False, "0": False}
+
+
+def read_columns(path: str, track: bool = False):
+    """The column reader under every box CSV: ``frames`` (int64) and
+    ``boxes`` ((n, 4) floats u,v,h,w) in file order, each column parsed once
+    and checked as an array. Frames are unique; extra columns are ignored. A
+    ``track`` log has exactly TRACK_HEADER and frames nondecreasing and unique
+    per detector, and also returns the sorted detector ids, each row's index
+    into them and the ``valid`` flags. Cells take what ``int()`` (frame) and
+    ``float()`` take; frames fit in int64 and boxes are finite. Errors name
+    the file line: a wrong field count first, then the earliest faulty line,
+    checked in the order frame, u, v, h, w, side, id, valid, order, duplicate.
+    """
+    required = TRACK_HEADER if track else ("frame", "u", "v", "h", "w")
+    header, rows, lines = _read_rows(path, required)
+    if track and header != TRACK_HEADER:
+        raise RecordFormatError(f"{path}: header must be exactly {','.join(TRACK_HEADER)}")
+    cols = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    faults = []  # (row index, rank of the check, message): each check's first fault
+    nums = []
+    for rank, name in enumerate(("frame", "u", "v", "h", "w")):
+        vals, bad = _column(cols[name], float if rank else int)
+        if bad is not None:
+            faults.append((bad, rank, f"bad {name} value {cols[name][bad]!r}"))
+        if rank and (bad := _first(~np.isfinite(vals))) is not None:
+            faults.append((bad, rank, f"{name} must be finite, got {cols[name][bad]!r}"))
+        nums.append(vals)
+    n = min(map(len, nums))  # the later checks see the rows whose numbers all parsed
+    frames, boxes = nums[0][:n], np.column_stack([v[:n] for v in nums[1:]])
+    if (bad := _first((boxes[:, 2:] < 0).any(axis=1))) is not None:
+        faults.append((bad, 5, "negative box size"))
+    if track:
+        dets = list(map(str.strip, cols["detector_id"][:n]))
+        if "" in dets:
+            faults.append((dets.index(""), 6, "empty detector_id"))
+        flags = list(map(_VALID.get, map(str.lower, map(str.strip, cols["valid"][:n]))))
+        if None in flags:
+            bad = flags.index(None)
+            faults.append((bad, 7, f"valid must be true/false, got {cols['valid'][bad]!r}"))
+        ids = sorted(set(dets))
+        det = np.fromiter(map(dict(zip(ids, range(len(ids)))).__getitem__, dets), np.intp, n)
+    # Each detector's rows in file order, or all rows by frame: a row that
+    # repeats the frame before it is a duplicate, one below it a decrease.
+    order = np.argsort(det if track else frames, kind="stable")
+    f, later = frames[order], order[1:]
+    same = det[order][1:] == det[order][:-1] if track else True
+    if track and (bad := int(later[same & (f[1:] < f[:-1])].min(initial=n))) < n:
+        faults.append((bad, 8, f"frames decrease for detector {dets[bad]!r}"))
+    if (bad := int(later[same & (f[1:] == f[:-1])].min(initial=n))) < n:
+        message = (f"duplicate record for frame {frames[bad]}, detector {dets[bad]!r}"
+                   if track else f"duplicate frame {frames[bad]}")
+        faults.append((bad, 9, message))
+    if faults:
+        bad, _, message = min(faults)
+        raise RecordFormatError(f"{path}: row {lines[bad]}: {message}")
+    return (frames, boxes, ids, det, np.array(flags, dtype=bool)) if track else (frames, boxes)
 
 
 def read_track_csv(path: str) -> list[TrackRecord]:
-    """Read detector track logs, validating as it goes.
-
-    Errors carry the 1-based file row number (header is row 1). Frames must
-    be nondecreasing per detector and (frame, detector) pairs unique.
-    """
-    rows, fields = _numbered_rows(path, required=TRACK_HEADER)
-    if list(fields) != TRACK_HEADER:
-        raise RecordFormatError(
-            f"{path}: header must be exactly {','.join(TRACK_HEADER)}"
-        )
-    records = []
-    last_frame: dict[str, int] = {}
-    seen: set[tuple[int, str]] = set()
-    for row_no, row in rows:
-        frame, box = _frame_and_box(path, row_no, row)
-        det = row["detector_id"].strip()
-        if not det:
-            raise RecordFormatError(f"{path}: row {row_no}: empty detector_id")
-        raw_valid = row["valid"].strip().lower()
-        if raw_valid not in ("true", "false", "1", "0"):
-            raise RecordFormatError(
-                f"{path}: row {row_no}: valid must be true/false, got {row['valid']!r}"
-            )
-        if frame < last_frame.get(det, frame):
-            raise RecordFormatError(
-                f"{path}: row {row_no}: frames decrease for detector {det!r}"
-            )
-        if (frame, det) in seen:
-            raise RecordFormatError(
-                f"{path}: row {row_no}: duplicate record for frame {frame}, detector {det!r}"
-            )
-        seen.add((frame, det))
-        last_frame[det] = frame
-        records.append(TrackRecord(
-            frame=frame, detector_id=det, valid=raw_valid in ("true", "1"), **box,
-        ))
-    return records
+    """Read a detector track log into records; ``read_columns`` checks it."""
+    frames, boxes, ids, det, valid = read_columns(path, track=True)
+    return list(map(TrackRecord, frames.tolist(), map(ids.__getitem__, det.tolist()),
+                    *boxes.T.tolist(), valid.tolist()))
 
 
 def write_track_csv(path: str, records) -> None:
@@ -181,21 +222,14 @@ def write_track_csv(path: str, records) -> None:
 
 def read_box_csv(path: str) -> dict[int, BoundingBox]:
     """Read any CSV carrying frame,u,v,h,w columns (extras ignored) into boxes."""
-    rows, _ = _numbered_rows(path, required=("frame", "u", "v", "h", "w"))
-    out: dict[int, BoundingBox] = {}
-    for row_no, row in rows:
-        frame, box = _frame_and_box(path, row_no, row)
-        if frame in out:
-            raise RecordFormatError(f"{path}: row {row_no}: duplicate frame {frame}")
-        out[frame] = BoundingBox(**box)
-    return out
+    frames, boxes = read_columns(path)
+    return dict(zip(frames.tolist(), map(BoundingBox, *boxes.T.tolist())))
 
 
 # --- config schema ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     type: type
     default: object = None
     choices: tuple = ()
@@ -234,16 +268,10 @@ CONFIG_SCHEMA: dict[str, _Key] = {
 # Indexed keys: sensor.<i>.field and per-detector fusion gains. Types only: an
 # unset key takes the default of the code that reads it.
 _PATTERN_SCHEMA: list[tuple[re.Pattern, _Key]] = [
-    (re.compile(r"^sensor\.\d+\.noise_sigma$"), _Key(float)),
-    (re.compile(r"^sensor\.\d+\.spike_prob$"), _Key(float)),
-    (re.compile(r"^sensor\.\d+\.spike_mag$"), _Key(float)),
-    (re.compile(r"^sensor\.\d+\.drift_rate$"), _Key(float)),
-    (re.compile(r"^sensor\.\d+\.shock_offset$"), _Key(float)),
-    (re.compile(r"^sensor\.\d+\.shock_start$"), _Key(int)),
-    (re.compile(r"^sensor\.\d+\.shock_end$"), _Key(int)),
-    (re.compile(r"^sensor\.\d+\.meas_var$"), _Key(float)),
-    (re.compile(r"^fusion\.gamma\.\d+$"), _Key(float)),
-    (re.compile(r"^fusion\.delta\.\d+$"), _Key(float)),
+    (re.compile(r"^sensor\.\d+\.(noise_sigma|spike_prob|spike_mag|drift_rate|shock_offset"
+                r"|meas_var)$"), _Key(float)),
+    (re.compile(r"^sensor\.\d+\.shock_(start|end)$"), _Key(int)),
+    (re.compile(r"^fusion\.(gamma|delta)\.\d+$"), _Key(float)),
 ]
 
 
@@ -268,7 +296,7 @@ def _convert(key: str, raw: str, spec: _Key, origin: str):
             val = int(raw)
         elif spec.type is float:
             val = float(raw)
-            if np.isnan(val) or np.isinf(val):
+            if not math.isfinite(val):
                 raise ValueError
         else:
             val = raw

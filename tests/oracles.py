@@ -3,8 +3,12 @@
 Everything here is written the slow, obvious way on purpose: explicit
 inverses, brute-force loops, grid numerics, fine-step integration. None of it
 imports from habdf, so agreement between the two is evidence, not tautology.
+The one exception is the row-wise CLI at the end: it checks how ``habdf fuse``
+and ``habdf eval`` read, group, score and write, so it reuses the library's
+pipeline, config reader and cell formatter, each tested on its own.
 """
 
+import csv
 import math
 
 import mpmath
@@ -168,3 +172,128 @@ def spd_with_cond(rng, n, log_cond, log_scale):
     eig[0], eig[-1] = 10.0 ** log_scale, 10.0 ** (log_scale + log_cond)
     cov = (Q * eig) @ Q.T
     return 0.5 * (cov + cov.T)
+
+
+def box_jaccard(a, b):
+    """Overlap of two (u, v, h, w) boxes in Python floats, formula written out."""
+    (pu, pv, ph, pw), (ru, rv, rh, rw) = map(float, a), map(float, b)
+    left, right = max(pu - pw / 2, ru - rw / 2), min(pu + pw / 2, ru + rw / 2)
+    bottom, top = max(pv - ph / 2, rv - rh / 2), min(pv + ph / 2, rv + rh / 2)
+    inter = max(0.0, right - left) * max(0.0, top - bottom)
+    union = pw * ph + rw * rh - inter
+    return 0.0 if union <= 0.0 else min(1.0, inter / union)
+
+
+TRACK_COLUMNS = ["frame", "detector_id", "u", "v", "h", "w", "valid"]
+
+
+def read_boxes_rowwise(path, track):
+    """A track log (``track``) or a frame,u,v,h,w file read with
+    csv.DictReader and checked one row at a time: a wrong field count on any
+    line first, then per row frame, u, v, h, w, side, detector_id, valid,
+    order and duplicate. Raises ValueError with habdf's message; returns
+    ``(frame, id, box, valid)`` or ``(frame, box)`` tuples."""
+    columns = TRACK_COLUMNS if track else ["frame", "u", "v", "h", "w"]
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        rows = [(reader.line_num, row) for row in reader]
+    for line, row in rows:
+        if None in row or None in row.values():
+            raise ValueError(f"{path}: row {line}: wrong field count")
+    if track and reader.fieldnames != TRACK_COLUMNS:
+        raise ValueError(f"{path}: header must be exactly {','.join(TRACK_COLUMNS)}")
+    out, last, seen = [], {}, set()
+    for line, row in rows:
+        def fail(message):
+            raise ValueError(f"{path}: row {line}: {message}")
+        try:
+            frame = int(row["frame"])
+        except ValueError:
+            fail(f"bad frame value {row['frame']!r}")
+        if not -2**63 <= frame < 2**63:
+            fail(f"bad frame value {row['frame']!r}")
+        box = []
+        for k in "uvhw":
+            try:
+                box.append(float(row[k]))
+            except ValueError:
+                fail(f"bad {k} value {row[k]!r}")
+            if not math.isfinite(box[-1]):
+                fail(f"{k} must be finite, got {row[k]!r}")
+        if box[2] < 0 or box[3] < 0:
+            fail("negative box size")
+        if not track:
+            if frame in seen:
+                fail(f"duplicate frame {frame}")
+            seen.add(frame)
+            out.append((frame, box))
+            continue
+        det, valid = row["detector_id"].strip(), row["valid"].strip().lower()
+        if not det:
+            fail("empty detector_id")
+        if valid not in ("true", "false", "1", "0"):
+            fail(f"valid must be true/false, got {row['valid']!r}")
+        if frame < last.get(det, frame):
+            fail(f"frames decrease for detector {det!r}")
+        if (frame, det) in seen:
+            fail(f"duplicate record for frame {frame}, detector {det!r}")
+        seen.add((frame, det))
+        last[det] = frame
+        out.append((frame, det, box, valid in ("true", "1")))
+    return out
+
+
+def _write_rows(path, header, rows):
+    from habdf.records import format_value
+
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_value(c) for c in row) + "\n")
+
+
+def fuse_rowwise(tracks, config_path, out):
+    """``habdf fuse`` row by row: each frame's valid boxes looked up per
+    detector in a dict, stepped through make_pipeline in frame order."""
+    from habdf.fusion import make_pipeline
+    from habdf.records import load_config, tracking_setup_from_config
+
+    records = read_boxes_rowwise(tracks, track=True)
+    ids = sorted({det for _, det, _, _ in records})
+    model, fusion, init_var = tracking_setup_from_config(load_config(config_path), len(ids))
+    pipe = make_pipeline(len(ids), model, fusion, init_var)
+    frames = {}
+    for frame, det, box, valid in records:
+        readings = frames.setdefault(frame, {})
+        if valid:
+            readings[det] = np.array(box)
+    rows = []
+    for frame in sorted(frames):
+        est = pipe.step([frames[frame].get(det) for det in ids])
+        if est is not None:
+            rows.append([frame, *(model.C @ est.state.mean), *est.w_d, *est.w_M,
+                         *est.rvv_scale])
+    header = ["frame", "u", "v", "h", "w"]
+    _write_rows(out, header + [f"{n}_{d}" for n in ("wd", "wM", "rvv") for d in ids], rows)
+
+
+def eval_rowwise(fused, gt, out, summary_out):
+    """``habdf eval`` row by row: box_jaccard and the norm of the box
+    difference per common frame, success at jaccard >= 0.5 and distance <= 50."""
+    fused, gt = dict(read_boxes_rowwise(fused, False)), dict(read_boxes_rowwise(gt, False))
+    rows = []
+    for frame in sorted(set(fused) & set(gt)):
+        j = box_jaccard(fused[frame], gt[frame])
+        d = float(np.linalg.norm(np.subtract(fused[frame], gt[frame])))
+        rows.append([frame, j, d, j >= 0.5 and d <= 50.0])
+    _write_rows(out, ["frame", "jaccard", "distance", "success"], rows)
+    cols = list(zip(*rows))
+    _write_rows(summary_out, ["approach", "frames", "mean_jaccard", "mean_distance",
+                              "success_rate"],
+                [["fused", len(rows), float(np.mean(cols[1])), float(np.mean(cols[2])),
+                  float(np.mean([1.0 if s else 0.0 for s in cols[3]]))]])

@@ -1,10 +1,16 @@
 """End-to-end CLI behavior, run in process through main(argv)."""
 
+import contextlib
+import io
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from habdf import FrameEval, TrackRecord, summarize
 from habdf.cli import main
 from habdf.records import read_box_csv, read_csv_dicts, write_track_csv
@@ -449,3 +455,174 @@ class TestSweep:
                    "--grid", "filter.turbo=1,2", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
+
+
+def quiet_main(argv):
+    """main(argv) with stdout dropped; (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    return rc, err.getvalue()
+
+
+DETECTORS = ["a", "b", "cam1", "det_2", "Z", "x9"]
+
+
+def random_track_log(rng, n_det, n_frames):
+    """Lines of a track log, and the true box per frame. The log has gaps in
+    frame numbers, absent detectors, rows shuffled within a frame, frames
+    whose rows are all invalid, 1/0/TRUE validity, whitespace-padded cells
+    and blank lines. Every detector reports on the first frame."""
+    ids = [str(d) for d in rng.choice(DETECTORS, n_det, replace=False)]
+    box, frame = np.array([200.0, 150.0, 40.0, 30.0]), int(rng.integers(0, 4))
+    lines, truth = ["frame,detector_id,u,v,h,w,valid"], {}
+    for t in range(n_frames):
+        box[:2] += rng.normal(0.0, 3.0, 2)
+        truth[frame] = box.copy()
+        present = ids if t == 0 else [d for d in ids if rng.random() < 0.8]
+        all_invalid = t > 0 and rng.random() < 0.15
+        for k, det in enumerate(rng.permutation(present)):
+            y = box + rng.normal(0.0, 2.0, 4) + (rng.random() < 0.05) * np.array([80.0, 0, 0, 0])
+            y[2:] = np.abs(y[2:])
+            valid = (t == 0 and k == 0) or (not all_invalid and rng.random() < 0.85)
+            token = rng.choice(["true", "1", "TRUE"] if valid else ["false", "0", "FALSE"])
+            numbers = [rng.choice([repr(float(x)), f"{x:.3f}", str(round(x))]) for x in y]
+            cells = [str(frame), det, *numbers, token]
+            lines.append(",".join(f" {c} " if rng.random() < 0.1 else str(c) for c in cells))
+            if rng.random() < 0.05:
+                lines.append("")
+        frame += int(rng.integers(1, 4))
+    return lines, truth
+
+
+def random_gt(rng, truth):
+    """Ground-truth lines for the first and most other frames of ``truth``
+    and a few frames past it, shuffled, with an extra column and a blank line."""
+    rows = [[f, *(b + rng.normal(0.0, 4.0, 4))] for f, b in truth.items()
+            if f == min(truth) or rng.random() < 0.9]
+    rows += [[max(truth) + 1 + i, 1.0, 2.0, 3.0, 4.0] for i in range(int(rng.integers(0, 3)))]
+    lines = [",".join([str(r[0]), *(repr(abs(float(x))) for x in r[1:]), "gt"])
+             for r in rows]
+    lines = [lines[i] for i in rng.permutation(len(lines))]
+    lines.insert(int(rng.integers(0, len(lines) + 1)), "")
+    return ["frame,u,v,h,w,note", *lines]
+
+
+BAD_NUMBERS = ["abc", "", " ", "nan", "inf", "-inf", "1e400", "0x10", "1.5", "1_0",
+               "99999999999999999999"]
+
+
+def inject(rng, lines, fault, numeric, sides, extra=None):
+    """Put one ``fault`` on a random data line of ``lines``, in place."""
+    i = int(rng.choice([i for i, line in enumerate(lines) if i and line]))
+    if fault == "dup":
+        lines.insert(int(rng.integers(i + 1, len(lines) + 1)), lines[i])
+        return
+    cells = lines[i].split(",")
+    if fault == "field":
+        cells = cells[:-1] if rng.random() < 0.5 else cells + ["x"]
+    elif fault == "cell":
+        cells[int(rng.choice(numeric))] = str(rng.choice(BAD_NUMBERS))
+    elif fault == "side":
+        cells[int(rng.choice(sides))] = "-1"
+    elif fault == "order":
+        cells[0] = str(int(rng.integers(0, 10)))
+    else:
+        cells[extra[fault]] = {"id": " ", "valid": "yes"}[fault]
+    lines[i] = ",".join(cells)
+
+
+CONFIG = "filter.meas_var = 25\nfusion.stale_after = 3\n"
+
+
+class TestRowwiseOracle:
+    """habdf fuse and eval against tests/oracles.py's row-wise versions: the
+    csv module, a dict per frame, make_pipeline and format_value."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_det=st.integers(3, 6),
+           n_frames=st.integers(1, 40))
+    def test_fuse_and_eval_equal_the_oracle_byte_for_byte(self, seed, n_det, n_frames):
+        rng = np.random.default_rng(seed)
+        lines, truth = random_track_log(rng, n_det, n_frames)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp)
+            (p / "t.csv").write_text("\n".join(lines) + "\n")
+            (p / "gt.csv").write_text("\n".join(random_gt(rng, truth)) + "\n")
+            (p / "f.cfg").write_text(CONFIG)
+            assert quiet_main(["fuse", p / "t.csv", "--config", p / "f.cfg",
+                               "--out", p / "fused.csv"]) == (0, "")
+            oracles.fuse_rowwise(p / "t.csv", p / "f.cfg", p / "want.csv")
+            assert (p / "fused.csv").read_bytes() == (p / "want.csv").read_bytes()
+            assert quiet_main(["eval", p / "fused.csv", p / "gt.csv",
+                               "--out", p / "e.csv"]) == (0, "")
+            oracles.eval_rowwise(p / "fused.csv", p / "gt.csv", p / "want_e.csv",
+                                 p / "want_s.csv")
+            assert (p / "e.csv").read_bytes() == (p / "want_e.csv").read_bytes()
+            assert (p / "e_summary.csv").read_bytes() == (p / "want_s.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           faults=st.lists(st.sampled_from(["cell", "side", "id", "valid", "order", "dup",
+                                            "field"]), min_size=1, max_size=3),
+           on_gt=st.booleans())
+    def test_faulty_files_fail_as_the_oracle_does(self, seed, faults, on_gt):
+        """Error precedence as it was row by row: a wrong field count on any
+        line first; otherwise the earliest faulty line, and within a line
+        frame, u, v, h, w, side, detector_id, valid, order, duplicate."""
+        rng = np.random.default_rng(seed)
+        lines, truth = random_track_log(rng, 3, 8)
+        gt = random_gt(rng, truth)
+        for fault in sorted(faults, key="field".__eq__):  # field counts last
+            if on_gt and fault in ("id", "valid", "order"):
+                continue
+            if on_gt:
+                inject(rng, gt, fault, numeric=[0, 1, 2, 3, 4], sides=[2, 3])
+            else:
+                inject(rng, lines, fault, numeric=[0, 2, 3, 4, 5], sides=[4, 5],
+                       extra={"id": 1, "valid": 6})
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp)
+            (p / "t.csv").write_text("\n".join(lines) + "\n")
+            (p / "gt.csv").write_text("\n".join(gt) + "\n")
+            (p / "f.cfg").write_text(CONFIG)
+            try:
+                oracles.fuse_rowwise(p / "t.csv", p / "f.cfg", p / "want.csv")
+                oracles.eval_rowwise(p / "want.csv", p / "gt.csv", p / "want_e.csv",
+                                     p / "want_s.csv")
+                want = (0, "")
+            except ValueError as exc:
+                want = (2, f"error: {exc}\n")
+            got = quiet_main(["fuse", p / "t.csv", "--config", p / "f.cfg",
+                              "--out", p / "fused.csv"])
+            if got == (0, ""):
+                got = quiet_main(["eval", p / "fused.csv", p / "gt.csv",
+                                  "--out", p / "e.csv"])
+            assert got == want
+
+    @pytest.mark.parametrize("rows, fault", [
+        (["0,a,1,2,3,4,true", "x,a,1,2,3,4,true", "1,a,1,2,3"], "row 4: wrong field count"),
+        (["x,a,nan,2,3,4,true"], "row 2: bad frame value 'x'"),
+        (["0,a,x,y,3,4,true"], "row 2: bad u value 'x'"),
+        (["0,a,1,2,-1,nan,true"], "row 2: w must be finite, got 'nan'"),
+        (["0,,1,2,-3,4,yes"], "row 2: negative box size"),
+        (["0, ,1,2,3,4,yes"], "row 2: empty detector_id"),
+        (["5,a,1,2,3,4,true", "3,a,1,2,3,4,yes"], "row 3: valid must be true/false, got 'yes'"),
+        (["5,a,1,2,3,4,true", "7,a,1,2,3,4,true", "5,a,1,2,3,4,true"],
+         "row 4: frames decrease for detector 'a'"),
+        (["5,a,1,2,3,4,true", "5,a,1,2,3,4,true", "4,a,1,2,3,4,true"],
+         "row 3: duplicate record for frame 5, detector 'a'"),
+        (["0,a,1,2,3,4,true", "", "", "1,a,1,2,-3,4,true"], "row 5: negative box size"),
+        (["0,a,1,2,3,4,maybe", "99999999999999999999,a,1,2,3,4,true"],
+         "row 2: valid must be true/false, got 'maybe'"),
+    ])
+    def test_error_precedence_is_pinned(self, tmp_path, rows, fault):
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(["frame,detector_id,u,v,h,w,valid", *rows]) + "\n")
+        (tmp_path / "f.cfg").write_text(CONFIG)
+        want = f"error: {path}: {fault}\n"
+        with pytest.raises(ValueError) as exc:
+            oracles.read_boxes_rowwise(path, track=True)
+        assert f"error: {exc.value}\n" == want
+        assert quiet_main(["fuse", path, "--config", tmp_path / "f.cfg",
+                           "--out", tmp_path / "o.csv"]) == (2, want)

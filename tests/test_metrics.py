@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from habdf import (
@@ -9,11 +11,19 @@ from habdf import (
     BoundingBox,
     ContractViolationError,
     FrameEval,
+    box_distance,
     gt_distance,
     jaccard,
     success,
     summarize,
 )
+
+EDGES = [0.0, -0.0, 5e-324, 1e308, -1e308]
+CENTER = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(EDGES))
+SIDE = st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 1e308]))
+BOX = st.tuples(CENTER, CENTER, SIDE, SIDE)
+MODERATE = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0.0, 1e6),
+                     st.floats(0.0, 1e6))
 
 
 class TestJaccard:
@@ -148,3 +158,66 @@ class TestFrameEvalContract:
             FrameEval(0, 1.2, 0.0, True)
         with pytest.raises(ContractViolationError):
             FrameEval(0, 0.5, -2.0, True)
+
+
+class TestStackedScores:
+    """jaccard and gt_distance over (m, 4) stacks, as habdf eval scores a file,
+    give per row exactly what one pair gives; jaccard is the Python-float
+    formula bit for bit, signed zeros, overflow and NaN ratios included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(BOX, BOX), min_size=1, max_size=8))
+    def test_jaccard_equals_the_float_formula_per_pair_and_per_row(self, pairs):
+        stacked = jaccard(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+        assert stacked.shape == (len(pairs),)
+        for (a, b), row in zip(pairs, stacked):
+            want = repr(oracles.box_jaccard(a, b))
+            assert repr(jaccard(a, b)) == want
+            assert repr(jaccard(BoundingBox(*a), BoundingBox(*b))) == want
+            assert repr(float(row)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(MODERATE, MODERATE), min_size=1, max_size=8))
+    def test_distance_rows_equal_box_distance_bit_for_bit(self, pairs):
+        a, b = np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+        for p, q, row in zip(a, b, gt_distance(a, b)):
+            assert repr(float(row)) == repr(box_distance(p, q)) == repr(gt_distance(p, q))
+
+    def test_one_box_against_a_stack_broadcasts(self):
+        stack = np.array([[0.0, 0.0, 10.0, 10.0], [5.0, 0.0, 10.0, 10.0]])
+        one = [0.0, 0.0, 10.0, 10.0]
+        assert jaccard(one, stack).tolist() == [jaccard(one, s) for s in stack]
+        assert gt_distance(one, stack).tolist() == [gt_distance(one, s) for s in stack]
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[0, 0, 1, 1], [0, 0, -1, 1]], "box sides must be >= 0"),
+        ([[0, 0, 1, 1], [np.nan, 0, 1, 1]], "box fields must be finite"),
+        ([[0, 0, 1]], r"expected a box or an \(m, 4\) stack"),
+        (np.zeros((2, 2, 4)), r"expected a box or an \(m, 4\) stack"),
+    ])
+    def test_stacks_are_checked_as_boxes(self, bad, message):
+        for score in (jaccard, gt_distance):
+            with pytest.raises(ContractViolationError, match=message):
+                score(bad, np.zeros((len(bad), 4)))
+
+
+class TestScalarGuards:
+    """success and FrameEval guard Python floats and numpy scalars alike."""
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_success(self, kind):
+        assert success(kind(0.5), kind(50.0)) is True
+        with pytest.raises(ContractViolationError, match=r"jaccard must be in \[0, 1\]"):
+            success(kind("nan"), kind(1.0))
+        for d in ("nan", -1.0):
+            with pytest.raises(ContractViolationError, match="distance must be >= 0"):
+                success(kind(0.5), kind(d))
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_frame_eval(self, kind):
+        assert FrameEval(0, kind(0.5), kind(3.0), True).distance == 3.0
+        with pytest.raises(ContractViolationError, match=r"jaccard must be in \[0, 1\]"):
+            FrameEval(0, kind("nan"), kind(3.0), True)
+        for d in ("inf", "nan", -1.0):
+            with pytest.raises(ContractViolationError, match="distance must be finite >= 0"):
+                FrameEval(0, kind(0.5), kind(d), True)

@@ -1,9 +1,15 @@
 """CSV formats and the flat key/value config parser."""
 
+import math
+import re
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from habdf import (
     ConfigError,
@@ -219,6 +225,108 @@ class TestReadBoxCsv:
         path = write_lines(tmp_path / "b.csv", "frame,u,v,h,w", "0,1,2,3,4", *[""] * blanks, bad)
         with pytest.raises(RecordFormatError, match=rf"b\.csv: row {3 + blanks}: negative box size"):
             read_box_csv(path)
+
+
+PINNED_CELLS = [" 1.5 ", "\t7 ", "1_000", "nan", "-inf", "inf", "1e400", "0x10", "", " ",
+                "+3", ".5", "5.", "-0", "1__0", "_1", "1e", "\u0661\u0662", "9223372036854775807",
+                "9223372036854775808", "-9223372036854775808", "99999999999999999999"]
+CELLS = st.one_of(
+    st.sampled_from(PINNED_CELLS),
+    st.text(alphabet=" \t0123456789._+-eExXinfaINFNA", max_size=10),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+
+
+def cell_outcome(cell, conv):
+    """What ``conv`` (int or float) makes of a cell: the value, "bad" or
+    "non-finite". A frame must also fit in int64."""
+    try:
+        value = conv(cell)
+    except ValueError:
+        return "bad"
+    if conv is int and not -2**63 <= value < 2**63:
+        return "bad"
+    return value if math.isfinite(value) else "non-finite"
+
+
+class TestNumericCells:
+    """A numeric cell is accepted or refused exactly as int() (frame) or
+    float() (u, v, h, w) would, in a track log and in a box file; a frame
+    past int64 is refused naming its line."""
+
+    @staticmethod
+    def check(track, name, cell, want):
+        frame, u = (cell, "1") if name == "frame" else ("0", cell)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.csv"
+            if track:
+                path.write_text(f"{TRACK_HEADER}\n{frame},d,{u},2,3,4,true\n")
+            else:
+                path.write_text(f"frame,u,v,h,w\n{frame},{u},2,3,4\n")
+
+            def read():
+                if track:
+                    return read_track_csv(str(path))[0]
+                ((frame, box),) = read_box_csv(str(path)).items()
+                return SimpleNamespace(frame=frame, u=box.u)
+
+            if want == "bad":
+                with pytest.raises(RecordFormatError,
+                                   match=re.escape(f"row 2: bad {name} value {cell!r}")):
+                    read()
+            elif want == "non-finite":
+                with pytest.raises(RecordFormatError,
+                                   match=re.escape(f"row 2: {name} must be finite, got {cell!r}")):
+                    read()
+            else:
+                got = getattr(read(), name)
+                assert type(got) is type(want) and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("track", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(cell=CELLS)
+    def test_frame_cells_follow_int(self, track, cell):
+        self.check(track, "frame", cell, cell_outcome(cell, int))
+
+    @pytest.mark.parametrize("track", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(cell=CELLS)
+    def test_box_cells_follow_float(self, track, cell):
+        self.check(track, "u", cell, cell_outcome(cell, float))
+
+    @pytest.mark.parametrize("track", [False, True])
+    @pytest.mark.parametrize("cell, frame, u", [
+        (" 7 ", 7, 7.0), ("\t7 ", 7, 7.0), ("1_000", 1000, 1000.0), ("-0", 0, -0.0),
+        ("", "bad", "bad"), (" ", "bad", "bad"), ("nan", "bad", "non-finite"),
+        ("inf", "bad", "non-finite"), ("-inf", "bad", "non-finite"),
+        ("1e400", "bad", "non-finite"), ("0x10", "bad", "bad"), ("1.5", "bad", 1.5),
+        ("99999999999999999999", "bad", 1e20), ("-9223372036854775808", -2**63, -2.0**63),
+        ("9223372036854775807", 2**63 - 1, 2.0**63), ("9223372036854775808", "bad", 2.0**63),
+    ])
+    def test_pinned_cells(self, track, cell, frame, u):
+        assert (cell_outcome(cell, int), cell_outcome(cell, float)) == (frame, u)
+        self.check(track, "frame", cell, frame)
+        self.check(track, "u", cell, u)
+
+    def test_frame_past_int64_is_a_record_error_naming_its_line(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv", TRACK_HEADER, "0,d,1,2,3,4,true", "",
+                           "99999999999999999999,d,1,2,3,4,true")
+        with pytest.raises(RecordFormatError,
+                           match=r"row 4: bad frame value '99999999999999999999'"):
+            read_track_csv(path)
+
+
+class TestConfigFloatGuard:
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_keys_refused(self, kind, value):
+        with pytest.raises(ConfigError, match="key 'filter.dt' expects float"):
+            parse_config_text(f"filter.dt = {kind(value)}")
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_finite_float_keys_parse(self, kind):
+        assert parse_config_text(f"filter.dt = {kind(0.25)}")["filter.dt"] == 0.25
 
 
 class TestConfigParsing:
