@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -38,16 +40,7 @@ SWEEP_CELL_LIMIT = 10_000
 
 def _summary_path(out: str) -> str:
     stem, dot, ext = out.rpartition(".")
-    if not dot:
-        return out + "_summary"
-    return f"{stem}_summary.{ext}"
-
-
-def _resolve_out(args, cfg) -> str:
-    out = args.out or cfg.get("run.out")
-    if not out:
-        raise ConfigError("no output path: pass --out or set run.out in the config")
-    return out
+    return f"{stem}_summary.{ext}" if dot else out + "_summary"
 
 
 def _sim_frame_rows(result):
@@ -79,7 +72,9 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg, seed=args.seed)
     result = run_sim_experiment(scenario)
-    out = _resolve_out(args, cfg)
+    out = args.out or cfg.get("run.out")
+    if not out:
+        raise ConfigError("no output path: pass --out or set run.out in the config")
     header, rows = _sim_frame_rows(result)
     write_csv(out, header, rows)
     summary_out = _summary_path(out)
@@ -98,9 +93,7 @@ def cmd_fuse(args) -> int:
         raise RecordFormatError(f"{args.tracks}: no records")
     if len(ids) < 3:
         raise InsufficientDetectorsError(
-            f"{args.tracks} carries {len(ids)} detectors; "
-            "majority voting needs at least 3"
-        )
+            f"{args.tracks} carries {len(ids)} detectors; majority voting needs at least 3")
     cfg = load_config(args.config)
     model, config, init_var = tracking_setup_from_config(cfg, len(ids))
     pipe = make_pipeline(len(ids), model, config, init_var)
@@ -138,25 +131,16 @@ def cmd_eval(args) -> int:
                                     return_indices=True)
     skipped = fused_frames.size + gt_frames.size - 2 * common.size
     if not common.size:
-        raise RecordFormatError(
-            f"no overlapping frames between {args.fused} and {args.gt}"
-        )
+        raise RecordFormatError(f"no overlapping frames between {args.fused} and {args.gt}")
+    frames = common.tolist()
     j = jaccard(fused[fi], gt[gi]).tolist()
     d = gt_distance(fused[fi], gt[gi]).tolist()
-    evals = list(map(FrameEval, common.tolist(), j, d, map(success, j, d)))
-    write_csv(
-        args.out,
-        ["frame", "jaccard", "distance", "success"],
-        ([e.frame, e.jaccard, e.distance, e.success] for e in evals),
-    )
+    ok = list(map(success, j, d))
+    evals = list(map(FrameEval, frames, j, d, ok))
+    write_csv(args.out, [f.name for f in fields(FrameEval)], zip(frames, j, d, ok))
     summary = summarize({"fused": evals})[0]
     summary_out = _summary_path(args.out)
-    write_csv(
-        summary_out,
-        ["approach", "frames", "mean_jaccard", "mean_distance", "success_rate"],
-        [[summary.approach, summary.frames, summary.mean_jaccard,
-          summary.mean_distance, summary.success_rate]],
-    )
+    write_csv(summary_out, [f.name for f in fields(summary)], [astuple(summary)])
     if skipped:
         print(f"excluded {skipped} unmatched frames")
     print(
@@ -171,9 +155,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     grid = parse_grid(args.grid)
     keys = list(grid)
-    cells = 1
-    for vals in grid.values():
-        cells *= len(vals)
+    cells = math.prod(map(len, grid.values()))
     if cells > SWEEP_CELL_LIMIT and not args.force:
         raise ConfigError(
             f"grid has {cells} cells (> {SWEEP_CELL_LIMIT}); pass --force to run anyway"
@@ -245,12 +227,10 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc.strerror}: {name}", file=sys.stderr)
         return 2
-    except (ConfigError, RecordFormatError, InsufficientDetectorsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HabdfError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        bad_input = (ConfigError, RecordFormatError, InsufficientDetectorsError)
+        return 2 if isinstance(exc, bad_input) else 1
     except np.linalg.LinAlgError as exc:
         print(f"error: linear algebra failure: {exc}", file=sys.stderr)
         return 1

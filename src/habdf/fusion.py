@@ -155,9 +155,7 @@ class FusionCenter:
             if measurements[i] is not None and reports[i] is not None
         ]
 
-        w_m = np.array([
-            reports[i].w_M if reports[i] is not None else np.nan for i in range(n)
-        ])
+        w_m = np.array([np.nan if r is None else r.w_M for r in reports])
         w_d = np.full(n, np.nan)
         scale = np.full(n, np.nan)
         vecs = [np.asarray(measurements[i], dtype=float) for i in present]

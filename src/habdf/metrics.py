@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .voting import BoundingBox, box_distance
+from .voting import BoundingBox
 
 __all__ = [
     "jaccard",
@@ -24,16 +24,21 @@ JACCARD_MIN = 0.5
 DISTANCE_MAX = 50.0
 
 
-def _boxes(b) -> np.ndarray:
-    """A BoundingBox, a 4-vector or an (m, 4) stack as a float array of boxes
-    that BoundingBox accepts."""
-    a = np.asarray(b, dtype=float)
-    if a.shape[-1:] != (4,) or a.ndim > 2:
-        raise ContractViolationError(f"expected a box or an (m, 4) stack, got shape {a.shape}")
-    bad = ~np.isfinite(a).all(axis=-1) | (a[..., 2:] < 0).any(axis=-1)
-    if bad.any():
-        BoundingBox(*a.reshape(-1, 4)[bad.reshape(-1).argmax()])  # raises its message
-    return a
+def _boxes(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two boxes (a BoundingBox or 4-vector) or (m, 4) stacks as float arrays
+    that BoundingBox accepts. A box broadcasts against a stack; two stacks
+    must have the same length."""
+    pair = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    for x in pair:
+        if x.shape[-1:] != (4,) or x.ndim > 2:
+            raise ContractViolationError(f"expected a box or an (m, 4) stack, got shape {x.shape}")
+        bad = ~np.isfinite(x).all(axis=-1) | (x[..., 2:] < 0).any(axis=-1)
+        if bad.any():
+            BoundingBox(*x.reshape(-1, 4)[bad.reshape(-1).argmax()])  # raises its message
+    p, r = pair
+    if p.ndim == r.ndim == 2 and len(p) != len(r):
+        raise ContractViolationError(f"cannot pair a stack of {len(p)} boxes with {len(r)}")
+    return p, r
 
 
 def jaccard(a, b):
@@ -42,7 +47,7 @@ def jaccard(a, b):
     Boxes are centers plus sizes; degenerate boxes with zero-area union give 0.
     Two (m, 4) stacks give an (m,) array, each entry as a pair of boxes gives.
     """
-    (pu, pv, ph, pw), (ru, rv, rh, rw) = _boxes(a).T, _boxes(b).T
+    (pu, pv, ph, pw), (ru, rv, rh, rw) = (x.T for x in _boxes(a, b))
     with np.errstate(all="ignore"):  # overflow to inf, as Python floats do
         left = np.maximum(pu - pw / 2, ru - rw / 2)
         right = np.minimum(pu + pw / 2, ru + rw / 2)
@@ -65,11 +70,10 @@ def gt_distance(estimate, truth):
     box_distance takes it, so it equals that pair's distance bit for bit; a
     summed or einsum square differs in the last bit.
     """
-    p, r = _boxes(estimate), _boxes(truth)
-    if p.ndim == r.ndim == 1:
-        return box_distance(p, r)
+    p, r = _boxes(estimate, truth)
     d = np.atleast_2d(p - r)
-    return np.sqrt(np.fromiter(map(np.dot, d, d), float, len(d)))
+    out = np.sqrt(np.fromiter(map(np.dot, d, d), float, len(d)))
+    return float(out[0]) if p.ndim == r.ndim == 1 else out
 
 
 def success(j: float, d: float, j_min: float = JACCARD_MIN,

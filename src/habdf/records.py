@@ -59,7 +59,8 @@ class TrackRecord:
     valid: bool
 
 
-_SPECS = (((bool, np.bool_), "%s"), ((int, np.integer), "%d"), ((float, np.floating), "%.9g"))
+_BOOLS = (bool, np.bool_)
+_SPECS = ((_BOOLS, "%s"), ((int, np.integer), "%d"), ((float, np.floating), "%.9g"))
 
 
 def _cell_spec(t) -> str:
@@ -70,7 +71,7 @@ def _cell_spec(t) -> str:
 def format_value(x) -> str:
     """Canonical CSV cell: ints as digits, floats at 9 significant digits,
     bools true/false; no cell may hold a comma or newline."""
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, _BOOLS):
         x = "true" if x else "false"
     s = _cell_spec(type(x)) % (x,)
     if "," in s or "\n" in s:
@@ -87,14 +88,11 @@ def write_csv(path: str, header, rows) -> None:
         for row in rows:
             types = tuple(map(type, row))
             if types not in formats:
-                bools = [k for k, t in enumerate(types) if issubclass(t, (bool, np.bool_))]
-                formats[types] = ",".join(map(_cell_spec, types)) + "\n", bools
-            fmt, bools = formats[types]
-            if bools:
-                row = list(row)
-                for k in bools:
-                    row[k] = "true" if row[k] else "false"
-            line = fmt % tuple(row)
+                formats[types] = ",".join(map(_cell_spec, types)) + "\n"
+            if bool in types or np.bool_ in types:
+                row = [("true" if c else "false") if t in _BOOLS else c
+                       for c, t in zip(row, types)]
+            line = formats[types] % tuple(row)
             if line.count(",") >= len(types) or line.count("\n") > 1:
                 list(map(format_value, row))  # raises, naming the cell
             fh.write(line)
@@ -131,21 +129,17 @@ def read_csv_dicts(path: str, required=()):
     return [dict(zip(header, row)) for row in rows], header
 
 
-def _column(cells, conv):
+def _column(cells, conv) -> np.ndarray:
     """``conv`` of each cell as an array, cut before the first cell that it
-    refuses or that int64 cannot hold; with that cell's index or None."""
+    refuses or, for ``int``, that int64 cannot hold."""
     out = []
     try:
         out.extend(map(conv, cells))
     except ValueError:
         pass
-    bad = len(out) if len(out) < len(cells) else None
-    try:
-        return np.array(out, dtype=float if conv is float else np.int64), bad
-    except OverflowError:  # a frame past int64
-        big = np.array(out, dtype=object)
-        bad = _first((big > 2**63 - 1) | (big < -2**63))
-        return np.array(out[:bad], dtype=np.int64), bad
+    if conv is int and out and not -2**63 <= min(out) <= max(out) < 2**63:
+        del out[next(k for k, x in enumerate(out) if not -2**63 <= x < 2**63):]
+    return np.array(out, dtype=np.int64 if conv is int else float)
 
 
 _VALID = {"true": True, "1": True, "false": False, "0": False}
@@ -157,10 +151,8 @@ def read_columns(path: str, track: bool = False):
     and checked as an array. Frames are unique; extra columns are ignored. A
     ``track`` log has exactly TRACK_HEADER and frames nondecreasing and unique
     per detector, and also returns the sorted detector ids, each row's index
-    into them and the ``valid`` flags. Cells take what ``int()`` (frame) and
-    ``float()`` take; frames fit in int64 and boxes are finite. Errors name
-    the file line: a wrong field count first, then the earliest faulty line,
-    checked in the order frame, u, v, h, w, side, id, valid, order, duplicate.
+    into them and the ``valid`` flags. The README's CSV schemas section gives
+    what cells accept and, when a file has several faults, which one is named.
     """
     required = TRACK_HEADER if track else ("frame", "u", "v", "h", "w")
     header, rows, lines = _read_rows(path, required)
@@ -170,12 +162,12 @@ def read_columns(path: str, track: bool = False):
     faults = []  # (row index, rank of the check, message): each check's first fault
     nums = []
     for rank, name in enumerate(("frame", "u", "v", "h", "w")):
-        vals, bad = _column(cols[name], float if rank else int)
-        if bad is not None:
-            faults.append((bad, rank, f"bad {name} value {cols[name][bad]!r}"))
+        cells = cols[name]
+        nums.append(vals := _column(cells, float if rank else int))
+        if len(vals) < len(cells):
+            faults.append((len(vals), rank, f"bad {name} value {cells[len(vals)]!r}"))
         if rank and (bad := _first(~np.isfinite(vals))) is not None:
-            faults.append((bad, rank, f"{name} must be finite, got {cols[name][bad]!r}"))
-        nums.append(vals)
+            faults.append((bad, rank, f"{name} must be finite, got {cells[bad]!r}"))
     n = min(map(len, nums))  # the later checks see the rows whose numbers all parsed
     frames, boxes = nums[0][:n], np.column_stack([v[:n] for v in nums[1:]])
     if (bad := _first((boxes[:, 2:] < 0).any(axis=1))) is not None:
@@ -267,9 +259,9 @@ CONFIG_SCHEMA: dict[str, _Key] = {
 
 # Indexed keys: sensor.<i>.field and per-detector fusion gains. Types only: an
 # unset key takes the default of the code that reads it.
+_FAULT_FIELDS = ("noise_sigma", "spike_prob", "spike_mag", "drift_rate", "shock_offset")
 _PATTERN_SCHEMA: list[tuple[re.Pattern, _Key]] = [
-    (re.compile(r"^sensor\.\d+\.(noise_sigma|spike_prob|spike_mag|drift_rate|shock_offset"
-                r"|meas_var)$"), _Key(float)),
+    (re.compile(rf"^sensor\.\d+\.({'|'.join(_FAULT_FIELDS)}|meas_var)$"), _Key(float)),
     (re.compile(r"^sensor\.\d+\.shock_(start|end)$"), _Key(int)),
     (re.compile(r"^fusion\.(gamma|delta)\.\d+$"), _Key(float)),
 ]
@@ -288,10 +280,7 @@ def _convert(key: str, raw: str, spec: _Key, origin: str):
     raw = raw.strip()
     try:
         if spec.type is bool:
-            low = raw.lower()
-            if low not in ("true", "false"):
-                raise ValueError
-            val = low == "true"
+            val = {"true": True, "false": False}[raw.lower()]
         elif spec.type is int:
             val = int(raw)
         elif spec.type is float:
@@ -300,7 +289,7 @@ def _convert(key: str, raw: str, spec: _Key, origin: str):
                 raise ValueError
         else:
             val = raw
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(
             f"{origin}: key {key!r} expects {spec.type.__name__}, got {raw!r}"
         ) from None
@@ -398,18 +387,10 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
         raise ConfigError("sensors.count is required for simulation configs")
     if count < 3:
         raise ConfigError(f"sensors.count must be >= 3, got {count}")
-    faults = []
-    for i in range(1, count + 1):
-        def get(field, default=0.0):
-            return cfg.get(f"sensor.{i}.{field}", default)
-        faults.append(FaultProfile(
-            noise_sigma=get("noise_sigma"),
-            spike_prob=get("spike_prob"),
-            spike_mag=get("spike_mag"),
-            drift_rate=get("drift_rate"),
-            shock_offset=get("shock_offset"),
-            shock_window=(int(get("shock_start", 0)), int(get("shock_end", 0))),
-        ))
+    faults = tuple(FaultProfile(
+        **{f: cfg.get(f"sensor.{i}.{f}", 0.0) for f in _FAULT_FIELDS},
+        shock_window=(cfg.get(f"sensor.{i}.shock_start", 0), cfg.get(f"sensor.{i}.shock_end", 0)),
+    ) for i in range(1, count + 1))
     return SimScenario(
         frames=cfg["run.frames"],
         plant=SecondOrderPlant(
@@ -421,7 +402,7 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
         setpoint_amplitude=cfg["setpoint.amplitude"],
         setpoint_period=cfg["setpoint.period"],
         setpoint_value=cfg["setpoint.value"],
-        faults=tuple(faults),
+        faults=faults,
         filter_dt=cfg["filter.dt"],
         accel_var=cfg["filter.accel_var"],
         meas_var=_per_detector(cfg, count, "filter.meas_var", "sensor.{}.meas_var"),

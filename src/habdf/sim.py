@@ -69,11 +69,7 @@ def _zoh(natural_freq: float, damping: float, gain: float, dt: float):
     # Exact zero-order-hold discretization via the matrix exponential of the
     # companion form augmented with the input column.
     wn, z = natural_freq, damping
-    m = np.zeros((3, 3))
-    m[0, 1] = 1.0
-    m[1, 0] = -wn * wn
-    m[1, 1] = -2.0 * z * wn
-    m[1, 2] = gain * wn * wn
+    m = np.array([[0.0, 1.0, 0.0], [-wn * wn, -2.0 * z * wn, gain * wn * wn], [0.0, 0.0, 0.0]])
     em = expm(m * dt)
     return em[:2, :2].copy(), em[:2, 2].copy()
 
@@ -325,9 +321,7 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
     """
     n = len(scenario.faults)
     if n < 3:
-        raise InsufficientDetectorsError(
-            f"the bench needs at least 3 sensors, got {n}"
-        )
+        raise InsufficientDetectorsError(f"the bench needs at least 3 sensors, got {n}")
     run_seed = scenario.seed if seed is None else int(seed)
 
     sp = setpoint_profile(
@@ -351,12 +345,8 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
     pipe = make_pipeline(n, models, scenario.fusion, scenario.init_var)
 
     T = scenario.frames
-    experts = np.empty((n, T))
-    w_m = np.empty((n, T))
-    w_d = np.empty((n, T))
-    rvv = np.empty((n, T))
-    fused = np.empty(T)
-    fused_var = np.empty(T)
+    experts, w_m, w_d, rvv = np.empty((4, n, T))
+    fused, fused_var = np.empty((2, T))
     for t in range(T):
         est = pipe.step([sensors[i, t:t + 1] for i in range(n)])
         experts[:, t] = [e.state.mean[0] for e in pipe.experts]

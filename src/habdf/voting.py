@@ -45,8 +45,7 @@ class BoundingBox:
         return np.array([self.u, self.v, self.h, self.w], dtype=float)
 
     def __array__(self, dtype=None, copy=None):
-        a = self.as_array()
-        return a.astype(dtype) if dtype is not None else a
+        return np.array([self.u, self.v, self.h, self.w], dtype=float if dtype is None else dtype)
 
 
 def _vector(x, name: str) -> np.ndarray:

@@ -200,6 +200,13 @@ class TestStackedScores:
             with pytest.raises(ContractViolationError, match=message):
                 score(bad, np.zeros((len(bad), 4)))
 
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (1, 3)])
+    def test_stacks_of_different_lengths_are_refused(self, m, k):
+        for score in (jaccard, gt_distance):
+            with pytest.raises(ContractViolationError,
+                               match=f"cannot pair a stack of {m} boxes with {k}"):
+                score(np.zeros((m, 4)), np.zeros((k, 4)))
+
 
 class TestScalarGuards:
     """success and FrameEval guard Python floats and numpy scalars alike."""
