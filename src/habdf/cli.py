@@ -93,7 +93,9 @@ def cmd_fuse(args) -> int:
         raise RecordFormatError(f"{args.tracks}: no records")
     if len(ids) < 3:
         raise InsufficientDetectorsError(
-            f"{args.tracks} carries {len(ids)} detectors; majority voting needs at least 3")
+            f"{args.tracks} carries {len(ids)} detectors; "
+            "majority voting needs at least 3"
+        )
     cfg = load_config(args.config)
     model, config, init_var = tracking_setup_from_config(cfg, len(ids))
     pipe = make_pipeline(len(ids), model, config, init_var)
@@ -107,12 +109,11 @@ def cmd_fuse(args) -> int:
     keep = keep[np.argsort(frames[keep], kind="stable")]
     ends = np.searchsorted(frames[keep], steps, side="right").tolist()
     slots, readings = det[keep].tolist(), boxes[keep]
-    rows, start = [], 0
-    for frame, end in zip(steps.tolist(), ends):
+    rows = []
+    for frame, start, end in zip(steps.tolist(), [0] + ends, ends):
         meas = [None] * len(ids)
         for i in range(start, end):
             meas[slots[i]] = readings[i]
-        start = end
         est = pipe.step(meas)
         if est is None:
             continue  # nothing seen yet on any detector
@@ -131,7 +132,9 @@ def cmd_eval(args) -> int:
                                     return_indices=True)
     skipped = fused_frames.size + gt_frames.size - 2 * common.size
     if not common.size:
-        raise RecordFormatError(f"no overlapping frames between {args.fused} and {args.gt}")
+        raise RecordFormatError(
+            f"no overlapping frames between {args.fused} and {args.gt}"
+        )
     frames = common.tolist()
     j = jaccard(fused[fi], gt[gi]).tolist()
     d = gt_distance(fused[fi], gt[gi]).tolist()

@@ -15,6 +15,7 @@ import os
 import re
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -207,9 +208,7 @@ def read_track_csv(path: str) -> list[TrackRecord]:
 
 
 def write_track_csv(path: str, records) -> None:
-    write_csv(path, TRACK_HEADER, (
-        [r.frame, r.detector_id, r.u, r.v, r.h, r.w, r.valid] for r in records
-    ))
+    write_csv(path, TRACK_HEADER, map(attrgetter(*TRACK_HEADER), records))
 
 
 def read_box_csv(path: str) -> dict[int, BoundingBox]:

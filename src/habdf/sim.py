@@ -321,7 +321,9 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
     """
     n = len(scenario.faults)
     if n < 3:
-        raise InsufficientDetectorsError(f"the bench needs at least 3 sensors, got {n}")
+        raise InsufficientDetectorsError(
+            f"the bench needs at least 3 sensors, got {n}"
+        )
     run_seed = scenario.seed if seed is None else int(seed)
 
     sp = setpoint_profile(

@@ -41,9 +41,6 @@ class BoundingBox:
         if self.h < 0 or self.w < 0:
             raise ContractViolationError(f"box sides must be >= 0, got h={self.h} w={self.w}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.h, self.w], dtype=float)
-
     def __array__(self, dtype=None, copy=None):
         return np.array([self.u, self.v, self.h, self.w], dtype=float if dtype is None else dtype)
 

@@ -142,7 +142,7 @@ class TestFuse:
         assert len(boxes) == 60
         target = np.array([100.0, 50.0, 40.0, 30.0])
         for frame, box in boxes.items():
-            np.testing.assert_allclose(box.as_array(), target, atol=1e-9)
+            np.testing.assert_allclose(np.asarray(box), target, atol=1e-9)
 
     def test_output_carries_weight_columns(self, tmp_path):
         tracks = self.write_tracks(tmp_path, frames=5)
@@ -216,7 +216,7 @@ class TestFuse:
         boxes = read_box_csv(out)
         target = np.array([100.0, 50.0, 40.0, 30.0])
         for frame, box in boxes.items():
-            assert np.abs(box.as_array() - target).max() < 1.0
+            assert np.abs(np.asarray(box) - target).max() < 1.0
 
     def test_huge_box_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # A finite 1e308 box passes the reader; the frame that scores it is

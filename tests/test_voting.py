@@ -20,8 +20,8 @@ from habdf import (
 class TestBoundingBox:
     def test_array_conversion(self):
         b = BoundingBox(1.0, 2.0, 3.0, 4.0)
-        assert np.array_equal(b.as_array(), [1.0, 2.0, 3.0, 4.0])
         assert np.array_equal(np.asarray(b), [1.0, 2.0, 3.0, 4.0])
+        assert np.asarray(b, dtype=np.float32).dtype == np.float32
 
     def test_rejects_negative_sizes(self):
         with pytest.raises(ContractViolationError):
