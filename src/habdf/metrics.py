@@ -53,7 +53,9 @@ def jaccard(a, b):
         right = np.minimum(pu + pw / 2, ru + rw / 2)
         bottom = np.maximum(pv - ph / 2, rv - rh / 2)
         top = np.minimum(pv + ph / 2, rv + rh / 2)
-        inter = np.maximum(0.0, right - left) * np.maximum(0.0, top - bottom)
+        # An overlap overflowed to inf times an empty one (a zero-area box,
+        # say) is NaN, not the true 0; fmax takes the 0.
+        inter = np.fmax(np.maximum(0.0, right - left) * np.maximum(0.0, top - bottom), 0.0)
         union = pw * ph + rw * rh - inter
         ratio = inter / union
         # Rounding can push the ratio of equal boxes a few ulps past 1; a NaN
@@ -71,22 +73,19 @@ def gt_distance(estimate, truth):
     summed or einsum square differs in the last bit.
     """
     p, r = _boxes(estimate, truth)
-    d = np.atleast_2d(p - r)
-    out = np.sqrt(np.fromiter(map(np.dot, d, d), float, len(d)))
+    with np.errstate(over="ignore"):  # finite boxes far enough apart are inf apart
+        d = np.atleast_2d(p - r)
+        out = np.sqrt(np.fromiter(map(np.dot, d, d), float, len(d)))
     return float(out[0]) if p.ndim == r.ndim == 1 else out
 
 
-def success(j: float, d: float, j_min: float = JACCARD_MIN,
-            d_max: float = DISTANCE_MAX) -> bool:
-    """Frame success: overlap at least ``j_min`` AND distance at most ``d_max``.
-
-    Both bounds are inclusive.
-    """
+def success(j: float, d: float) -> bool:
+    """Frame success: jaccard >= JACCARD_MIN and distance <= DISTANCE_MAX."""
     if math.isnan(j) or not (0.0 <= j <= 1.0):
         raise ContractViolationError(f"jaccard must be in [0, 1], got {j}")
     if math.isnan(d) or d < 0:
         raise ContractViolationError(f"distance must be >= 0, got {d}")
-    return bool(j >= j_min and d <= d_max)
+    return bool(j >= JACCARD_MIN and d <= DISTANCE_MAX)
 
 
 @dataclass(frozen=True)

@@ -71,21 +71,22 @@ def _cell_spec(t) -> str:
 
 def format_value(x) -> str:
     """Canonical CSV cell: ints as digits, floats at 9 significant digits,
-    bools true/false; no cell may hold a comma or newline."""
+    bools true/false; no cell may hold a comma, LF or CR."""
     if isinstance(x, _BOOLS):
         x = "true" if x else "false"
     s = _cell_spec(type(x)) % (x,)
-    if "," in s or "\n" in s:
+    if "," in s or "\n" in s or "\r" in s:
         raise RecordFormatError(f"cell value {s!r} would break the CSV layout")
     return s
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Write rows with LF newlines, each cell as format_value writes it: one
-    ``%`` string per row, built once per sequence of cell types."""
+    """Write the header and rows with LF newlines, each cell as format_value
+    writes it: one ``%`` string per row, built once per sequence of cell types."""
     formats = {}
+    head = ",".join(map(format_value, header)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(head)
         for row in rows:
             types = tuple(map(type, row))
             if types not in formats:
@@ -94,7 +95,7 @@ def write_csv(path: str, header, rows) -> None:
                 row = [("true" if c else "false") if t in _BOOLS else c
                        for c, t in zip(row, types)]
             line = formats[types] % tuple(row)
-            if line.count(",") >= len(types) or line.count("\n") > 1:
+            if line.count(",") >= len(types) or line.count("\n") > 1 or "\r" in line:
                 list(map(format_value, row))  # raises, naming the cell
             fh.write(line)
 

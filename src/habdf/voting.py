@@ -45,47 +45,31 @@ class BoundingBox:
         return np.array([self.u, self.v, self.h, self.w], dtype=float if dtype is None else dtype)
 
 
-def _vector(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ContractViolationError(f"{name} must be a nonempty vector")
-    if not np.isfinite(a).all():
-        raise ContractViolationError(f"{name} contains non-finite entries")
-    return a
-
-
-def box_distance(p, r, scale=None) -> float:
+def box_distance(p, r) -> float:
     """Euclidean distance between two boxes over (u, v, h, w).
 
-    Centers and sizes mix in raw pixels by design; pass ``scale`` (a
-    positive 4-vector of divisors) to normalize dimensions, off by default.
+    Centers and sizes mix in raw pixels by design.
     """
     a = np.asarray(p, dtype=float)
     b = np.asarray(r, dtype=float)
-    if scale is None and a.ndim == 1 and a.size and a.shape == b.shape:
-        # A non-finite entry in either box makes d . d non-finite, so one
-        # scalar test stands in for both array checks on the common path.
+    if a.ndim == 1 and a.size and a.shape == b.shape:
+        # sqrt(d . d) is exactly what np.linalg.norm computes for a real
+        # vector. A non-finite entry in either box makes d . d non-finite, so
+        # one scalar test stands in for both array checks on the common path;
+        # finite boxes whose squared distance overflows return inf.
         d = a - b
         dd = d.dot(d)
-        if math.isfinite(dd):
+        if math.isfinite(dd) or (np.isfinite(a).all() and np.isfinite(b).all()):
             return math.sqrt(dd)
-    # Full checks, each argument in turn; finite boxes whose squared distance
-    # overflows get here too and return inf.
-    a = _vector(a, "p")
-    b = _vector(b, "r")
-    if a.shape != b.shape:
-        raise ContractViolationError(f"mismatched box shapes {a.shape} vs {b.shape}")
-    d = a - b
-    if scale is not None:
-        s = _vector(scale, "scale")
-        if s.shape != d.shape or (s <= 0).any():
-            raise ContractViolationError("scale must be positive and match the boxes")
-        d = d / s
-    # sqrt(d . d) is exactly what np.linalg.norm computes for a real vector.
-    return math.sqrt(d.dot(d))
+    for x, name in ((a, "p"), (b, "r")):
+        if x.ndim != 1 or x.size == 0:
+            raise ContractViolationError(f"{name} must be a nonempty vector")
+        if not np.isfinite(x).all():
+            raise ContractViolationError(f"{name} contains non-finite entries")
+    raise ContractViolationError(f"mismatched box shapes {a.shape} vs {b.shape}")
 
 
-def consensus_distance(boxes, i: int, scale=None) -> float:
+def consensus_distance(boxes, i: int) -> float:
     """Distance from box ``i`` to its nearest peer among ``boxes``.
 
     Majority voting needs at least 3 detectors; fewer raises
@@ -98,12 +82,12 @@ def consensus_distance(boxes, i: int, scale=None) -> float:
         )
     if not (0 <= i < n):
         raise ContractViolationError(f"index {i} out of range for {n} boxes")
-    return _nearest_peer(boxes, i, scale)
+    return _nearest_peer(boxes, i)
 
 
-def _nearest_peer(boxes, i: int, scale=None) -> float:
+def _nearest_peer(boxes, i: int) -> float:
     # Nearest-peer distance of box i; a lone box has no peer to disagree with.
-    peers = (box_distance(boxes[i], boxes[j], scale) for j in range(len(boxes)) if j != i)
+    peers = (box_distance(boxes[i], boxes[j]) for j in range(len(boxes)) if j != i)
     return min(peers, default=0.0)
 
 

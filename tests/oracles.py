@@ -252,7 +252,7 @@ def _write_rows(path, header, rows):
     from habdf.records import format_value
 
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(map(format_value, header)) + "\n")
         for row in rows:
             fh.write(",".join(format_value(c) for c in row) + "\n")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -185,6 +185,19 @@ class TestFuse:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("det", ["a,b", "a\rb"])
+    def test_id_that_would_break_the_fused_header_exits_2(self, tmp_path, capsys, det):
+        """A quoted id reads as one cell, but its weight columns cannot be
+        written as one: fuse names the header cell and writes nothing."""
+        path = tmp_path / "tracks.csv"
+        path.write_text("frame,detector_id,u,v,h,w,valid\n" + "".join(
+            f"{t},{d},100,50,40,30,true\n" for t in range(3) for d in (f'"{det}"', "c", "d")))
+        out = tmp_path / "o.csv"
+        rc = main(["fuse", str(path), "--config", self.write_cfg(tmp_path), "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            2, f"error: cell value {'wd_' + det!r} would break the CSV layout\n")
+        assert not out.exists()
 
     def test_header_only_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -566,10 +579,14 @@ class TestRowwiseOracle:
            faults=st.lists(st.sampled_from(["cell", "side", "id", "valid", "order", "dup",
                                             "field"]), min_size=1, max_size=3),
            on_gt=st.booleans())
+    # A huge w cell at frame 9 gives both sides a negative fused w, which both
+    # evals refuse, naming the fused file.
+    @example(seed=5787, faults=["cell"], on_gt=False)
     def test_faulty_files_fail_as_the_oracle_does(self, seed, faults, on_gt):
         """Error precedence as it was row by row: a wrong field count on any
         line first; otherwise the earliest faulty line, and within a line
-        frame, u, v, h, w, side, detector_id, valid, order, duplicate."""
+        frame, u, v, h, w, side, detector_id, valid, order, duplicate. Both
+        sides write the same file names, so their messages can be compared."""
         rng = np.random.default_rng(seed)
         lines, truth = random_track_log(rng, 3, 8)
         gt = random_gt(rng, truth)
@@ -587,9 +604,9 @@ class TestRowwiseOracle:
             (p / "gt.csv").write_text("\n".join(gt) + "\n")
             (p / "f.cfg").write_text(CONFIG)
             try:
-                oracles.fuse_rowwise(p / "t.csv", p / "f.cfg", p / "want.csv")
-                oracles.eval_rowwise(p / "want.csv", p / "gt.csv", p / "want_e.csv",
-                                     p / "want_s.csv")
+                oracles.fuse_rowwise(p / "t.csv", p / "f.cfg", p / "fused.csv")
+                oracles.eval_rowwise(p / "fused.csv", p / "gt.csv", p / "e.csv",
+                                     p / "e_summary.csv")
                 want = (0, "")
             except ValueError as exc:
                 want = (2, f"error: {exc}\n")

@@ -1,5 +1,7 @@
 """Overlap, distance, and success-rule metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,18 @@ class TestJaccard:
     def test_zero_area_union_defined_as_zero(self):
         a = BoundingBox(0.0, 0.0, 0.0, 0.0)
         assert jaccard(a, a) == 0.0
+
+    def test_empty_overlap_scores_zero_when_the_other_axis_overflows(self):
+        """A width overflowing to inf times an empty height overlap is NaN.
+        A zero-area box, or a pair apart in height, scores 0, as a pair and
+        in a stack."""
+        flat = BoundingBox(1e308, 0.0, 0.0, 1.7e308)
+        wide = BoundingBox(1e308, 0.0, 1.0, 1.7e308)
+        assert jaccard(flat, flat) == jaccard(flat, wide) == 0.0
+        assert jaccard(wide, BoundingBox(1e308, 100.0, 1.0, 1.7e308)) == 0.0
+        stack = np.array([np.asarray(flat)] * 2)
+        assert jaccard(stack, stack).tolist() == [0.0, 0.0]
+        assert jaccard(wide, wide) == 1.0  # an inf - inf union still reads 1
 
     def test_nested_boxes(self):
         outer = BoundingBox(0.0, 0.0, 10.0, 10.0)
@@ -97,6 +111,14 @@ class TestGtDistance:
             want = float(np.sqrt(np.sum((a - b) ** 2)))
             assert gt_distance(a, b) == pytest.approx(want, abs=1e-12)
 
+    def test_finite_boxes_too_far_apart_are_inf_without_a_warning(self):
+        far = np.array([[1e308, 0.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0]])
+        near = np.array([[-1e308, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gt_distance(far[0], near[0]) == np.inf
+            assert gt_distance(far, near).tolist() == [np.inf, np.inf]
+
 
 class TestSuccess:
     def test_boundaries_are_inclusive(self):
@@ -108,9 +130,6 @@ class TestSuccess:
         assert success(0.49, 0.0) is False
         assert success(1.0, 51.0) is False
         assert success(0.49, 51.0) is False
-
-    def test_custom_thresholds(self):
-        assert success(0.3, 80.0, j_min=0.25, d_max=100.0) is True
 
     def test_domain_checks(self):
         with pytest.raises(ContractViolationError):

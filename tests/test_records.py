@@ -59,6 +59,8 @@ class TestFormatValue:
             format_value("a,b")
         with pytest.raises(RecordFormatError):
             format_value("a\nb")
+        with pytest.raises(RecordFormatError):
+            format_value("a\rb")
 
 
 class TestCsvRoundTrip:
@@ -85,6 +87,18 @@ class TestCsvRoundTrip:
         rows, fields = read_csv_dicts(path, required=("x",))
         assert fields == ["x", "ok"]
         assert rows[0] == {"x": "1.5", "ok": "true"}
+
+    @pytest.mark.parametrize("cell", ["x,y", "x\ny", "x\ry"])
+    def test_header_cells_are_checked_before_the_file_is_opened(self, tmp_path, cell):
+        path = tmp_path / "g.csv"
+        with pytest.raises(RecordFormatError, match="would break the CSV layout"):
+            write_csv(str(path), ["frame", cell], [[1, 2.5]])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb"])
+    def test_row_cells_that_break_the_layout_are_refused(self, tmp_path, cell):
+        with pytest.raises(RecordFormatError, match="would break the CSV layout"):
+            write_csv(str(tmp_path / "g.csv"), ["id", "x"], [["ok", 1.0], [cell, 2.0]])
 
     def test_wrong_field_count_names_the_file_line_past_blank_lines(self, tmp_path):
         path = write_lines(tmp_path / "g.csv", "x,y", "1,2", "", "", "3")
