@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.special import expit
-from scipy.stats import chi2
+from scipy.special import expit, gammaincinv
 
-from .errors import ContractViolationError, DegenerateGeometryError
+from .errors import ContractViolationError
 from .kalman import (GaussianState, LinearModel, _cholesky, _cv_predict, _cv_state,
                      _cv_update, _eye, _innovation_cov, kf_predict, kf_update)
 
@@ -121,22 +120,20 @@ def chi2_xi(dof: int, confidence: float = 0.95) -> float:
         raise ContractViolationError(f"dof must be a positive integer, got {dof}")
     if not (0.0 < confidence < 1.0):
         raise ContractViolationError(f"confidence must be in (0, 1), got {confidence}")
-    return float(np.sqrt(chi2.ppf(confidence, int(dof))))
+    # scipy.stats' chi2.ppf is 2 * gammaincinv(dof / 2, q); calling it here keeps
+    # scipy.stats, about half of the package's import time, out of the import.
+    return math.sqrt(2 * gammaincinv(int(dof) / 2, confidence))
 
 
 @dataclass(frozen=True)
 class ExpertConfig:
-    """Reliability-scoring knobs for one expert.
+    """Reliability-scoring threshold of one expert.
 
-    xi: sigmoid midpoint; defaults to the 4-dof / 95% chi-square root, the
-        bounding-box case. Scalar sensors want chi2_xi(1, confidence).
-    use_diag_approx: score with the cheap per-component distance instead of
-        the exact form. The exact form is the default because xi's chi-square
-        calibration only holds for it.
+    xi: sigmoid midpoint of the exact Mahalanobis distance; defaults to the
+        4-dof / 95% chi-square root (boxes). Scalars want chi2_xi(1, confidence).
     """
 
     xi: float = field(default_factory=lambda: chi2_xi(4, 0.95))
-    use_diag_approx: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.xi) and self.xi > 0):
@@ -198,7 +195,7 @@ class Expert:
         A model from ``build_cv_model`` is filtered on its 2x2 axis block in
         closed form: the innovation covariance is ``s I_k``, so
         ``md = |y - mu| / sqrt(s)``. Every other model runs kf_predict, scores
-        with mahalanobis or mahalanobis_diag, and updates with kf_update.
+        with mahalanobis and updates with kf_update.
         """
         frame = self.frame + 1
         state, model = self.state, self.model
@@ -239,13 +236,7 @@ class Expert:
         pred = kf_predict(state, model)
         mu = model.C @ pred.mean
         S = _innovation_cov(model, pred.cov)[0]
-        if self.config.use_diag_approx:
-            var = np.diag(S)
-            if (var <= 0).any():  # as the exact and closed-form paths report it
-                raise DegenerateGeometryError("covariance is not numerically positive definite")
-            md = mahalanobis_diag(scored, mu, var)
-        else:
-            md = mahalanobis(scored, mu, S)
+        md = mahalanobis(scored, mu, S)
         return (pred if y is None else kf_update(pred, model, y)[0]), mu, S, md
 
     def _filter_cv(self, b, state, scored, y):
@@ -254,9 +245,6 @@ class Expert:
         since it is ``init_cov`` or a state this method built."""
         m0, m1, P, s = _cv_predict(b, state)
         r, rr = _residual(scored, m0)
-        if self.config.use_diag_approx:
-            md = float(np.abs(r).sum()) / math.sqrt(s)
-        else:
-            md = math.sqrt(rr / s)
+        md = math.sqrt(rr / s)
         post = (m0, m1, P) if y is None else _cv_update(b, m0, m1, P, s, r)
         return _cv_state(*post), m0, s * _eye(b.k), md

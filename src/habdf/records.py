@@ -246,8 +246,6 @@ CONFIG_SCHEMA: dict[str, _Key] = {
     "filter.meas_var": _Key(float, 25.0),
     "filter.init_var": _Key(float, 1e4),
     "expert.confidence": _Key(float, 0.95),
-    "expert.xi": _Key(float, None),
-    "expert.use_diag_approx": _Key(bool, False),
     "vote.omega0": _Key(float, 1.0),
     "vote.omega": _Key(float, 1.0),
     "vote.lambda": _Key(float, 50.0),
@@ -265,6 +263,7 @@ _PATTERN_SCHEMA: list[tuple[re.Pattern, _Key]] = [
     (re.compile(r"^sensor\.\d+\.shock_(start|end)$"), _Key(int)),
     (re.compile(r"^fusion\.(gamma|delta)\.\d+$"), _Key(float)),
 ]
+_INDEX = re.compile(r"^(?:sensor|fusion\.gamma|fusion\.delta)\.(\d+)\b")
 
 
 def _key_spec(key: str) -> _Key | None:
@@ -361,13 +360,11 @@ def _per_detector(cfg: dict, n: int, base: str, indexed: str):
 
 def _fusion_from_config(cfg: dict, n: int, dof: int) -> FusionConfig:
     """Fusion settings for n detectors whose measurements have ``dof`` entries.
-
-    Expert xi is the ``dof``-dof chi-square root at expert.confidence unless
-    expert.xi pins it.
-    """
-    xi = cfg["expert.xi"]
-    if xi is None:
-        xi = chi2_xi(dof, cfg["expert.confidence"])
+    Expert xi is the ``dof``-dof chi-square root at expert.confidence. Every
+    indexed key must name a detector in 1..n, as the readers spell it."""
+    names = set(map(str, range(1, n + 1)))
+    if bad := sorted(k for k in cfg if (m := _INDEX.match(k)) and m[1] not in names):
+        raise ConfigError(f"keys index detectors outside 1..{n}: {', '.join(bad)}")
     return FusionConfig(
         gamma=_per_detector(cfg, n, "fusion.gamma", "fusion.gamma.{}"),
         delta=_per_detector(cfg, n, "fusion.delta", "fusion.delta.{}"),
@@ -376,7 +373,7 @@ def _fusion_from_config(cfg: dict, n: int, dof: int) -> FusionConfig:
         vote=VoteConfig(
             omega0=cfg["vote.omega0"], omega=cfg["vote.omega"], lam=cfg["vote.lambda"],
         ),
-        expert=ExpertConfig(xi=xi, use_diag_approx=cfg["expert.use_diag_approx"]),
+        expert=ExpertConfig(xi=chi2_xi(dof, cfg["expert.confidence"])),
     )
 
 

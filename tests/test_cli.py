@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from habdf import FrameEval, TrackRecord, summarize
+from habdf import FrameEval, TrackRecord, chi2_xi, summarize
 from habdf.cli import main
 from habdf.records import read_box_csv, read_csv_dicts, write_track_csv
 
@@ -112,6 +112,28 @@ class TestSimulate:
         assert main(["simulate", "--config", small_scenario]) == 2
         assert "output path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["expert.use_diag_approx = true", "expert.xi = 2.5"])
+    def test_removed_expert_key_exits_2_naming_its_line(self, small_scenario, tmp_path,
+                                                         capsys, line):
+        Path(small_scenario).write_text(SMALL_SCENARIO + line + "\n")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", small_scenario, "--out", str(out)]) == 2
+        n = len(SMALL_SCENARIO.splitlines()) + 1
+        key = line.split()[0]
+        assert capsys.readouterr().err == f"error: {small_scenario}:{n}: unknown key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["sensor.0.noise_sigma", "sensor.4.noise_sigma",
+                                     "fusion.gamma.9"])
+    def test_index_outside_the_sensors_exits_2_without_traceback(self, small_scenario,
+                                                                 tmp_path, capsys, key):
+        Path(small_scenario).write_text(SMALL_SCENARIO + f"{key} = 5\n")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", small_scenario, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: keys index detectors outside 1..3: {key}\n"
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["replay"])
@@ -185,6 +207,15 @@ class TestFuse:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "row 3" in capsys.readouterr().err
+
+    def test_gain_index_past_the_detectors_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "fuse.cfg"
+        cfg.write_text("filter.meas_var = 25\nfusion.gamma.4 = 10\n")
+        out = tmp_path / "o.csv"
+        rc = main(["fuse", self.write_tracks(tmp_path), "--config", str(cfg), "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: keys index detectors outside 1..3: fusion.gamma.4\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("det", ["a,b", "a\rb"])
     def test_id_that_would_break_the_fused_header_exits_2(self, tmp_path, capsys, det):
@@ -422,11 +453,14 @@ class TestSweep:
     def test_xi_raises_mean_reliability_weight_falls(self, small_scenario, tmp_path):
         out = str(tmp_path / "sweep.csv")
         rc = main(["sweep", "--config", small_scenario,
-                   "--grid", "expert.xi=1,2,4,8", "--out", out, "--seed", "3"])
+                   "--grid", "expert.confidence=0.6827,0.9545,0.9973,0.999937",
+                   "--out", out, "--seed", "3"])
         assert rc == 0
         rows, _ = read_csv_dicts(out)
         w = [float(r["mean_wM"]) for r in rows]
-        assert [float(r["expert.xi"]) for r in rows] == [1.0, 2.0, 4.0, 8.0]
+        conf = [float(r["expert.confidence"]) for r in rows]
+        assert conf == [0.6827, 0.9545, 0.9973, 0.999937]
+        assert [round(chi2_xi(1, c), 2) for c in conf] == [1.0, 2.0, 3.0, 4.0]
         assert all(b < a for a, b in zip(w, w[1:]))
 
     def test_two_axes_product_order(self, small_scenario, tmp_path):
@@ -468,6 +502,11 @@ class TestSweep:
                    "--grid", "filter.turbo=1,2", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
+        rc = main(["sweep", "--config", small_scenario,
+                   "--grid", "expert.xi=1,2", "--out", str(tmp_path / "o.csv")])
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: grid axis references unknown key 'expert.xi'\n")
+        assert not (tmp_path / "o.csv").exists()
 
 
 def quiet_main(argv):

@@ -172,6 +172,17 @@ class TestChi2Xi:
             assert chi2_xi(dof, conf) == pytest.approx(
                 oracles.chi2_quantile_sqrt(dof, conf), abs=1e-9)
 
+    def test_equals_scipy_stats_chi2_ppf_bit_for_bit(self):
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(0)
+        conf = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 200), rng.uniform(0.0, 1.0, 196),
+                               [1e-300, 1e-12, 0.5, np.nextafter(1.0, 0.0)]])
+        dof = np.arange(1, 65)
+        want = np.sqrt(chi2.ppf(conf[None, :], dof[:, None]))
+        got = np.array([[chi2_xi(int(d), float(c)) for c in conf] for d in dof])
+        assert np.array_equal(got, want)
+
     def test_bad_confidence_rejected(self):
         for conf in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ContractViolationError):
@@ -228,18 +239,6 @@ class TestExpertStep:
         rep = exp.step([y])
         assert rep.md == pytest.approx(10.0, abs=1e-9)
         assert rep.w_M > 0.99
-
-    def test_diag_approx_scores_with_component_sum(self):
-        model = build_track_model(dt=1.0, accel_var=0.0, meas_var=1.0)
-        exact = Expert(model, ExpertConfig(xi=3.0802, use_diag_approx=False), init_var=4.0)
-        approx = Expert(model, ExpertConfig(xi=3.0802, use_diag_approx=True), init_var=4.0)
-        y0 = [0.0, 0.0, 0.0, 0.0]
-        exact.step(y0)
-        approx.step(y0)
-        y1 = [3.0, 3.0, 3.0, 3.0]
-        r_exact = exact.step(y1)
-        r_approx = approx.step(y1)
-        assert r_approx.md >= r_exact.md
 
     def test_coasting_penalty_grows_while_world_moves(self):
         model = build_cv_model(1, 1.0, 0.5, 1.0)
@@ -321,9 +320,9 @@ class TestAtomicExpertStep:
 
 def replay_public(model, config, init_var, stale_after, readings):
     """Expert.step's frame logic written out with the public functions:
-    kf_predict, then mahalanobis or mahalanobis_diag, then kf_update, each
-    called on its own. Yields (md, w_M, innovation_cov, predicted state,
-    posterior) per reported frame."""
+    kf_predict, then mahalanobis, then kf_update, each called on its own.
+    Yields (md, w_M, innovation_cov, predicted state, posterior) per reported
+    frame."""
     state, last, misses = None, None, 0
     for y in readings:
         if state is None:
@@ -338,10 +337,7 @@ def replay_public(model, config, init_var, stale_after, readings):
         S = model.C @ pred.cov @ model.C.T + model.Rvv
         S = 0.5 * (S + S.T)
         scored = last if y is None else y
-        if config.use_diag_approx:
-            md = mahalanobis_diag(scored, mu, np.diag(S))
-        else:
-            md = mahalanobis(scored, mu, S)
+        md = mahalanobis(scored, mu, S)
         if y is None:
             state, misses = pred, misses + 1
         else:
@@ -356,22 +352,21 @@ def plain(model):
 
 
 class TestOneFactorShortcut:
-    """On a general LinearModel, Expert.step runs kf_predict, mahalanobis or
-    mahalanobis_diag, and kf_update; its reports equal replay_public's bit for
-    bit, and its posteriors agree with the explicit-inverse oracle."""
+    """On a general LinearModel, Expert.step runs kf_predict, mahalanobis and
+    kf_update; its reports equal replay_public's bit for bit, and its
+    posteriors agree with the explicit-inverse oracle."""
 
     STALE = 3
 
-    @pytest.mark.parametrize("diag", [False, True])
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         gaps=st.lists(st.integers(0, 2 * STALE), min_size=2, max_size=12),
         outlier_sigma=st.floats(0.0, 50.0),
     )
-    def test_reports_equal_public_path_and_naive_oracle(self, diag, seed, gaps, outlier_sigma):
+    def test_reports_equal_public_path_and_naive_oracle(self, seed, gaps, outlier_sigma):
         model = plain(build_track_model(dt=1.0, accel_var=0.5, meas_var=9.0))
-        config = ExpertConfig(use_diag_approx=diag)
+        config = ExpertConfig()
         rng = np.random.default_rng(seed)
         gaps[len(gaps) // 2] = self.STALE + 1  # one gap past stale_after
         readings = []
@@ -420,7 +415,6 @@ class TestClosedFormStep:
         return np.abs(got - want).max() <= tol * np.abs(base).max()
 
     @pytest.mark.parametrize("k", [1, 4])
-    @pytest.mark.parametrize("diag", [False, True])
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -432,11 +426,10 @@ class TestClosedFormStep:
              outlier_sigma=27.0)
     @example(seed=41, dt=2.5, gaps=[0, 0, 0, 0, 2, 0, 6, 0, 3, 4, 5, 6, 2, 0, 1],
              outlier_sigma=6.0)
-    def test_agrees_with_public_path_and_naive_oracle(self, k, diag, seed, dt, gaps,
-                                                      outlier_sigma):
+    def test_agrees_with_public_path_and_naive_oracle(self, k, seed, dt, gaps, outlier_sigma):
         model = build_cv_model(k, dt, 0.5, 9.0)
         general = plain(model)
-        config = ExpertConfig(xi=chi2_xi(k, 0.95), use_diag_approx=diag)
+        config = ExpertConfig(xi=chi2_xi(k, 0.95))
         rng = np.random.default_rng(seed)
         gaps = list(gaps)  # an @example's list is shared by every parametrization
         gaps[len(gaps) // 2] = self.STALE + 1  # one gap past stale_after
@@ -493,9 +486,8 @@ class TestClosedFormStep:
         # No process or measurement noise: the covariance collapses to 0 after
         # two updates, so the third frame's innovation variance is 0.
         model = build_cv_model(1, 1.0, 0.0, 0.0)
-        for m, diag in ((model, False), (plain(model), False), (model, True),
-                        (plain(model), True)):
-            exp = Expert(m, ExpertConfig(xi=chi2_xi(1, 0.95), use_diag_approx=diag))
+        for m in (model, plain(model)):
+            exp = Expert(m, ExpertConfig(xi=chi2_xi(1, 0.95)))
             exp.step([1.0])
             exp.step([2.0])
             assert not exp.state.cov.any()

@@ -11,7 +11,6 @@ from habdf import (
     ContractViolationError,
     DegenerateGeometryError,
     Expert,
-    ExpertConfig,
     ExpertReport,
     FusionCenter,
     FusionConfig,
@@ -461,8 +460,7 @@ class TestAtomicStep:
         assert all(e.state is None and e.frame == -1 for e in pipe.experts)
         assert pipe.center.state is None and pipe.center.frame == -1
 
-    @pytest.mark.parametrize("diag", [False, True])
-    def test_cond_limit_refuses_update_frames_only(self, diag):
+    def test_cond_limit_refuses_update_frames_only(self):
         # Every axis is measured almost exactly; the last one also gains 1e6
         # of process variance a frame. From frame 1 on, each expert's
         # innovation covariance factors, but its squared diagonal ratio is
@@ -470,8 +468,7 @@ class TestAtomicStep:
         model = LinearModel(np.eye(4), np.zeros((4, 1)), np.eye(4),
                             np.diag([0.0, 0.0, 0.0, 1e6]), 1e-8 * np.eye(4))
         boxes = [np.array([100.0, 80.0, 40.0, 30.0])] * 3
-        cfg = FusionConfig(expert=ExpertConfig(use_diag_approx=diag))
-        coasting, updating = make_pipeline(3, model, cfg), make_pipeline(3, model, cfg)
+        coasting, updating = make_pipeline(3, model), make_pipeline(3, model)
         coasting.step(boxes)
         updating.step(boxes)
 

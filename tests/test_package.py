@@ -2,6 +2,9 @@
 re-exports all of it except ``records``, which exports four names."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import habdf
 
@@ -54,3 +57,12 @@ def test_each_export_is_the_module_object():
 def test_public_dir_is_the_exports_and_the_imported_modules():
     public = {n for n in dir(habdf) if not n.startswith("_")} - {"cli"}  # once imported
     assert public == set(habdf.__all__) | set(EXPORTED)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about as long to import as the rest of the package.
+    src = os.path.dirname(os.path.dirname(habdf.__file__))
+    code = "import sys, habdf.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"

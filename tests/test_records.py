@@ -357,6 +357,9 @@ class TestConfigParsing:
     def test_unknown_key_carries_line_number(self):
         with pytest.raises(ConfigError, match=r"cfg:3.*unknown key 'run\.framez'"):
             parse_config_text("# x\nrun.frames = 5\nrun.framez = 5\n", origin="cfg")
+        for key in ("expert.xi", "expert.use_diag_approx"):
+            with pytest.raises(ConfigError, match=rf"cfg:2: unknown key '{key}'"):
+                parse_config_text(f"expert.confidence = 0.9\n{key} = 1\n", origin="cfg")
 
     def test_type_error_carries_line_number(self):
         with pytest.raises(ConfigError, match=r"cfg:1.*expects int"):
@@ -364,7 +367,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="expects float"):
             parse_config_text("filter.accel_var = inf\n")
         with pytest.raises(ConfigError, match="expects bool"):
-            parse_config_text("expert.use_diag_approx = maybe\n")
+            parse_config_text("plant.start_at_steady = maybe\n")
 
     def test_missing_equals_is_an_error(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -457,12 +460,19 @@ class TestScenarioFromConfig:
         _, fusion_cfg, _ = tracking_setup_from_config(cfg, 3)
         assert fusion_cfg.expert.xi == chi2_xi(4, 0.99)
 
-    def test_pinned_xi_wins_on_both_paths(self):
-        cfg = parse_config_text(
-            "sensors.count = 3\nexpert.xi = 2.5\nexpert.confidence = 0.99\n"
-        )
-        assert scenario_from_config(cfg).fusion_config().expert.xi == 2.5
-        assert tracking_setup_from_config(cfg, 3)[1].expert.xi == 2.5
+    @pytest.mark.parametrize("key", ["sensor.0.noise_sigma", "sensor.4.meas_var",
+                                     "sensor.4.shock_start", "sensor.01.spike_prob",
+                                     "fusion.gamma.9", "fusion.delta.0"])
+    def test_index_outside_the_sensors_raises(self, key):
+        cfg = parse_config_text(f"sensors.count = 3\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=rf"outside 1\.\.3: {re.escape(key)}$"):
+            scenario_from_config(cfg)
+
+    def test_every_index_outside_the_sensors_is_named(self):
+        cfg = parse_config_text("sensors.count = 3\nsensor.3.meas_var = 1\n"
+                                "fusion.gamma.9 = 1\nsensor.0.noise_sigma = 1\n")
+        with pytest.raises(ConfigError, match=r"1\.\.3: fusion\.gamma\.9, sensor\.0\.noise_sigma$"):
+            scenario_from_config(cfg)
 
     def test_per_detector_gains_expand(self):
         cfg = parse_config_text(
@@ -504,10 +514,12 @@ class TestTrackingSetup:
         assert model.C.shape == (4, 8)
         assert init_var == 1e4
 
-    def test_pinned_xi_wins(self):
-        cfg = parse_config_text("expert.xi = 2.5\nexpert.confidence = 0.99\n")
-        _, fusion_cfg, _ = tracking_setup_from_config(cfg, 3)
-        assert fusion_cfg.expert.xi == 2.5
+    @pytest.mark.parametrize("key", ["fusion.gamma.4", "fusion.delta.5", "sensor.5.meas_var"])
+    def test_index_outside_the_detectors_raises(self, key):
+        cfg = parse_config_text(f"{key} = 2\n")
+        with pytest.raises(ConfigError, match=rf"outside 1\.\.3: {re.escape(key)}$"):
+            tracking_setup_from_config(cfg, 3)
+        assert tracking_setup_from_config(cfg, 5)[1] is not None
 
     def test_per_detector_gains_expand(self):
         cfg = parse_config_text("fusion.gamma = 10\nfusion.gamma.2 = 99\n")
