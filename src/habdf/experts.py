@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit, gammaincinv
 
 from .errors import ContractViolationError
-from .kalman import (GaussianState, LinearModel, _cholesky, _cv_predict, _cv_state,
+from .kalman import (GaussianState, LinearModel, _BlockState, _cholesky, _cv_predict,
                      _cv_update, _eye, _innovation_cov, kf_predict, kf_update)
 
 __all__ = [
@@ -206,11 +206,11 @@ class Expert:
                     raise ContractViolationError(f"y and mu must be matching vectors, "
                                                  f"got {y.shape} and {(model.meas_dim,)}")
                 # Measured slots filled, rates zero.
-                state = GaussianState(model.C.T @ y, self.init_cov)
+                state = self._reopen(model.C.T @ y)
             elif self.stale_after is not None and self.misses >= self.stale_after:
                 # Reacquisition after a long gap: belief is void, keep the mean
                 # but reopen the covariance so the fresh measurement dominates.
-                state = GaussianState(state.mean, self.init_cov)
+                state = self._reopen(state.mean)
         elif state is None:
             self.frame = frame
             return None
@@ -221,13 +221,23 @@ class Expert:
         else:
             posterior, mu, S, md = self._filter_cv(block, state, scored, y)
         w = local_weight(md, self.config.xi)
+        if not math.isfinite(md):
+            raise ContractViolationError(f"md must be finite and >= 0, got {md}")
         if y is None:
             last_meas, misses = self.last_meas, self.misses + 1
         else:
             last_meas, misses = y.copy(), 0
-        report = ExpertReport(posterior, mu, S, md, w, frame)
+        report = object.__new__(ExpertReport)  # the expert's own values, checked above
+        report.__dict__.update(posterior=posterior, predicted_meas=mu, innovation_cov=S,
+                               md=md, w_M=w, frame=frame)
         self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame
         return report
+
+    def _reopen(self, mean: np.ndarray) -> GaussianState:
+        """``mean`` and ``init_cov`` as a checked state; a block state on a CV model."""
+        b, v = self.model._cv_block, self.init_cov.item(0)
+        state = GaussianState(mean, self.init_cov)
+        return state if b is None else _BlockState(mean[:b.k], mean[b.k:], (v, 0.0, v))
 
     def _filter(self, state, scored, y):
         """General path: predict, score ``scored``, update on ``y`` if given.
@@ -240,11 +250,10 @@ class Expert:
         return (pred if y is None else kf_update(pred, model, y)[0]), mu, S, md
 
     def _filter_cv(self, b, state, scored, y):
-        """The same frame on the axis block ``b`` of a CV model, in closed form.
-        Only the block of ``state`` is read: its covariance is ``P2 (x) I_k``,
-        since it is ``init_cov`` or a state this method built."""
+        """The same frame on the axis block ``b`` of a CV model, in closed form,
+        from and to block states."""
         m0, m1, P, s = _cv_predict(b, state)
         r, rr = _residual(scored, m0)
         md = math.sqrt(rr / s)
         post = (m0, m1, P) if y is None else _cv_update(b, m0, m1, P, s, r)
-        return _cv_state(*post), m0, s * _eye(b.k), md
+        return _BlockState(*post), m0, s * _eye(b.k), md

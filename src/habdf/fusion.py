@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import ContractViolationError, InsufficientDetectorsError
 from .experts import Expert, ExpertConfig
-from .kalman import (
-    GaussianState,
-    LinearModel,
-    _trusted_model,
-    kf_predict,
-    kf_update,
-)
+from .kalman import GaussianState, LinearModel, _BlockState, _trusted_model, kf_predict, kf_update
 from .voting import VoteConfig, _nearest_peer, vote_weight
 
 __all__ = [
@@ -156,17 +150,18 @@ class FusionCenter:
         ]
 
         w_m = np.array([np.nan if r is None else r.w_M for r in reports])
-        w_d = np.full(n, np.nan)
-        scale = np.full(n, np.nan)
+        w_d, scale = [math.nan] * n, [math.nan] * n
         vecs = [np.asarray(measurements[i], dtype=float) for i in present]
         for k, i in enumerate(present):
-            w_d[i] = vote_weight(_nearest_peer(vecs, k), self.config.vote)
-            scale[i] = adapt_rvv(
-                w_d[i], w_m[i], self.gamma[i], self.delta[i], self.config.cov_floor
-            )
+            w_d[i] = d = vote_weight(_nearest_peer(vecs, k), self.config.vote)
+            scale[i] = adapt_rvv(d, w_m[i], self.gamma[i], self.delta[i], self.config.cov_floor)
+        w_d, scale = np.array(w_d), np.array(scale)
 
-        # Each present expert's positional estimate, projected once per frame.
-        parts = [self.model.C @ reports[i].posterior.mean for i in present]
+        # Each present expert's positions: a block state's m0 is C @ mean when
+        # C = [I_k 0]; any other posterior is projected.
+        C, cv = self.model.C, self.model._cv_block is not None
+        posts = [reports[i].posterior for i in present]
+        parts = [p.m0 if cv and type(p) is _BlockState else C @ p.mean for p in posts]
         state = self.state
         if state is None:
             if not present:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -261,20 +261,18 @@ class _CVBlock(NamedTuple):
     k: int
 
 
-def _cv_predict(b: _CVBlock, state: GaussianState):
-    """Closed-form predict of a state whose covariance is ``P2 (x) I_k``.
-    Returns the predicted positions, rates and block ``(p00, p01, p11)``, and
-    the innovation variance ``s = c2 P2 c2^T + r``; an ``s`` that is not
-    positive and finite raises DegenerateGeometryError, as the Cholesky factor
-    of ``s I_k`` does."""
-    k, dt, mean, cov = b.k, b.dt, state.mean, state.cov
-    p01, p11 = cov.item(0, k), cov.item(k, k)
+def _cv_predict(b: _CVBlock, state: _BlockState):
+    """Closed-form predict of a block state. Returns the predicted positions,
+    rates and block ``(p00, p01, p11)``, and the innovation variance
+    ``s = c2 P2 c2^T + r``; an ``s`` that is not positive and finite raises
+    DegenerateGeometryError, as the Cholesky factor of ``s I_k`` does."""
+    dt, (p00, p01, p11), m1 = b.dt, state.P, state.m1
     a01 = p01 + dt * p11  # (A2 P2)[0, 1]
-    p00 = cov.item(0, 0) + dt * p01 + dt * a01 + b.q00
+    p00 = p00 + dt * p01 + dt * a01 + b.q00
     s = p00 + b.r
     if not 0.0 < s < math.inf:
         raise DegenerateGeometryError("covariance is not numerically positive definite")
-    return mean[:k] + dt * mean[k:], mean[k:], (p00, a01 + b.q01, p11 + b.q11), s
+    return state.m0 + dt * m1, m1, (p00, a01 + b.q01, p11 + b.q11), s
 
 
 def _cv_update(b: _CVBlock, x0, x1, P, s: float, innovation: np.ndarray):
@@ -298,10 +296,16 @@ def _kron_index(k: int) -> np.ndarray:
     return index
 
 
-def _cv_state(m0, m1, P) -> GaussianState:
-    """The full state of positions ``m0``, rates ``m1`` and block ``P``."""
-    return _trusted_state(np.concatenate((m0, m1)),
-                          np.array((0.0, *P)).take(_kron_index(m0.shape[0])))
+class _BlockState(GaussianState):
+    """The state of positions ``m0``, rates ``m1`` and axis block
+    ``P = (p00, p01, p11)``: covariance ``P2 (x) I_k``. The filter reads these
+    three alone; ``mean`` and ``cov`` are built on first read, then kept."""
+
+    def __init__(self, m0: np.ndarray, m1: np.ndarray, P: tuple):
+        self.__dict__.update(m0=m0, m1=m1, P=P)
+
+    mean = cached_property(lambda s: np.concatenate((s.m0, s.m1)))
+    cov = cached_property(lambda s: np.array((0.0, *s.P)).take(_kron_index(len(s.m0))))
 
 
 def build_cv_model(n_axes: int, dt: float, accel_var: float, meas_var: float) -> LinearModel:

@@ -10,6 +10,7 @@ typed. Unknown keys are rejected outright to prevent silent misconfiguration.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import re
@@ -20,11 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, RecordFormatError
+from .errors import ConfigError, ContractViolationError, RecordFormatError
 from .experts import ExpertConfig, chi2_xi
-from .fusion import FusionConfig
+from .fusion import FusionCenter, FusionConfig
 from .kalman import build_cv_model
-from .sim import FaultProfile, SecondOrderPlant, SimScenario
+from .sim import FaultProfile, SecondOrderPlant, SimScenario, _pipeline, setpoint_profile
 from .voting import BoundingBox, VoteConfig
 
 __all__ = [
@@ -299,9 +300,14 @@ def _convert(key: str, raw: str, spec: _Key, origin: str):
     return val
 
 
+class _Config(dict):
+    """Config values; ``lines`` holds the ``origin:line`` of each key a file sets."""
+
+
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
     """Parse flat ``key = value`` lines; returns defaults merged with the file."""
-    cfg = {k: spec.default for k, spec in CONFIG_SCHEMA.items()}
+    cfg = _Config({k: spec.default for k, spec in CONFIG_SCHEMA.items()})
+    cfg.lines = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -314,6 +320,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
         if spec is None:
             raise ConfigError(f"{origin}:{line_no}: unknown key {key!r}")
         cfg[key] = _convert(key, raw, spec, f"{origin}:{line_no}")
+        cfg.lines[key] = f"{origin}:{line_no}"
     return cfg
 
 
@@ -358,10 +365,37 @@ def _per_detector(cfg: dict, n: int, base: str, indexed: str):
     return cfg[base]
 
 
-def _fusion_from_config(cfg: dict, n: int, dof: int) -> FusionConfig:
+# The last parts of the keys that an argument named in an error message reads.
+_ARG_KEYS = {"lam": {"lambda"}, "xi": {"confidence"}, "shock_window": {"shock_start", "shock_end"}}
+
+
+def _naming_keys(build):
+    """``build(cfg, ...)``, re-raising a ContractViolationError as a ConfigError
+    that names the keys of ``cfg`` holding the argument its message starts
+    with; of several, the ones whose value the message quotes."""
+    @functools.wraps(build)
+    def wrapped(cfg, *args, **kwargs):
+        try:
+            return build(cfg, *args, **kwargs)
+        except ContractViolationError as exc:
+            msg, arg = str(exc), str(exc).split()[0]
+            keys = [k for k in cfg if _ARG_KEYS.get(arg, {arg}) & set(k.split("."))]
+            keys = [k for k in keys if msg.endswith(f"got {cfg[k]}")] or keys or ["config"]
+            raise ConfigError(f"{', '.join(keys)}: {msg}") from None
+    return wrapped
+
+
+def _fusion_from_config(cfg: dict, n: int, dof: int, reads=None) -> FusionConfig:
     """Fusion settings for n detectors whose measurements have ``dof`` entries.
-    Expert xi is the ``dof``-dof chi-square root at expert.confidence. Every
-    indexed key must name a detector in 1..n, as the readers spell it."""
+    Expert xi is the ``dof``-dof chi-square root at expert.confidence. A key
+    the config sets outside the groups in ``reads`` (fuse's, when given) is
+    refused, naming its line when a file set it; so is an indexed key naming
+    no detector in 1..n, as the readers spell it."""
+    lines = getattr(cfg, "lines", {})
+    for key in (*lines, *(k for k in cfg if k not in CONFIG_SCHEMA)):
+        if reads and key.split(".")[0] not in reads:
+            raise ConfigError(f"{lines[key] + ': ' if key in lines else ''}key {key!r} is not "
+                              f"read by fuse, which reads only {'.*, '.join(reads)}.* keys")
     names = set(map(str, range(1, n + 1)))
     if bad := sorted(k for k in cfg if (m := _INDEX.match(k)) and m[1] not in names):
         raise ConfigError(f"keys index detectors outside 1..{n}: {', '.join(bad)}")
@@ -377,8 +411,10 @@ def _fusion_from_config(cfg: dict, n: int, dof: int) -> FusionConfig:
     )
 
 
+@_naming_keys
 def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
-    """Build the simulation scenario; requires sensors.count >= 3."""
+    """Build the simulation scenario; requires sensors.count >= 3. A value the
+    scenario or its run refuses raises ConfigError naming its key."""
     count = cfg.get("sensors.count")
     if count is None:
         raise ConfigError("sensors.count is required for simulation configs")
@@ -388,7 +424,7 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
         **{f: cfg.get(f"sensor.{i}.{f}", 0.0) for f in _FAULT_FIELDS},
         shock_window=(cfg.get(f"sensor.{i}.shock_start", 0), cfg.get(f"sensor.{i}.shock_end", 0)),
     ) for i in range(1, count + 1))
-    return SimScenario(
+    scenario = SimScenario(
         frames=cfg["run.frames"],
         plant=SecondOrderPlant(
             cfg["plant.natural_freq"], cfg["plant.damping"], cfg["plant.gain"], cfg["run.dt"],
@@ -406,13 +442,20 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
         init_var=cfg["filter.init_var"],
         seed=cfg["run.seed"] if seed is None else int(seed),
     )
+    setpoint_profile(scenario.setpoint_kind, 1, period=scenario.setpoint_period)
+    _pipeline(scenario)
+    return scenario
 
 
+@_naming_keys
 def tracking_setup_from_config(cfg: dict, n_detectors: int):
     """Fusion setup for bounding-box replay: (model, FusionConfig, init_var).
 
     The model is the 4-axis constant-velocity box model, so expert xi is a
-    4-dof threshold.
+    4-dof threshold. Only filter.*, expert.*, vote.* and fusion.* keys may be
+    set, and a value a pipeline refuses raises ConfigError naming its key.
     """
+    fusion = _fusion_from_config(cfg, n_detectors, 4, ("filter", "expert", "vote", "fusion"))
     model = build_cv_model(4, cfg["filter.dt"], cfg["filter.accel_var"], cfg["filter.meas_var"])
-    return model, _fusion_from_config(cfg, n_detectors, model.meas_dim), cfg["filter.init_var"]
+    FusionCenter(model, n_detectors, fusion, cfg["filter.init_var"])  # refuses gains, init_var
+    return model, fusion, cfg["filter.init_var"]

@@ -272,6 +272,8 @@ class SimScenario:
     def __post_init__(self):
         if self.frames < 1:
             raise ContractViolationError(f"frames must be >= 1, got {self.frames}")
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ContractViolationError(f"seed must be a nonnegative integer, got {self.seed}")
         if isinstance(self.meas_var, tuple) and len(self.meas_var) != len(self.faults):
             raise ContractViolationError(
                 f"meas_var has {len(self.meas_var)} entries for {len(self.faults)} sensors"
@@ -313,6 +315,14 @@ def _sensor_seeds(run_seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
+def _pipeline(scenario: SimScenario):
+    """The expert bank and fusion centre that a run of ``scenario`` steps."""
+    n = len(scenario.faults)
+    meas_vars = np.broadcast_to(np.asarray(scenario.meas_var, dtype=float), (n,))
+    models = [build_cv_model(1, scenario.filter_dt, scenario.accel_var, mv) for mv in meas_vars]
+    return make_pipeline(n, models, scenario.fusion, scenario.init_var)
+
+
 def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimResult:
     """Run the bench end to end; ``seed`` overrides the scenario's.
 
@@ -339,12 +349,7 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
     ]
     sensors = np.stack([inject_faults(truth, p) for p in profiles])
 
-    meas_vars = np.broadcast_to(np.asarray(scenario.meas_var, dtype=float), (n,))
-    models = [
-        build_cv_model(1, scenario.filter_dt, scenario.accel_var, mv)
-        for mv in meas_vars
-    ]
-    pipe = make_pipeline(n, models, scenario.fusion, scenario.init_var)
+    pipe = _pipeline(scenario)
 
     T = scenario.frames
     experts, w_m, w_d, rvv = np.empty((4, n, T))

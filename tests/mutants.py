@@ -1,0 +1,95 @@
+"""Committed mutants that tier-1 must kill, and their runner.
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME [NAME]  # the named ones
+
+Each mutant replaces one exact text, which must occur once, in one file of
+``src/habdf``. The runner copies ``src/habdf`` into a temporary directory,
+applies the mutant to the copy (never to the checkout) and runs tier-1
+against the copy with ``-x``. A mutant that tier-1 passes has survived. The
+runner prints the test that killed each mutant and exits 1 if any mutant
+survived or no longer applies. The file is not named ``test_*.py``, so pytest
+does not collect it; each mutant costs up to one tier-1 run.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/habdf, old text, new text, name)
+MUTANTS = [
+    # The paper's noise law and the expert's reset.
+    ("fusion.py", "self.gamma[i], self.delta[i], self.config.cov_floor",
+     "self.delta[i], self.gamma[i], self.config.cov_floor", "swapped-gamma-delta"),
+    ("fusion.py", "return float(max(gamma * w_d + delta * w_M, cov_floor))",
+     "return float(gamma * w_d + delta * w_M)", "no-floor"),
+    ("fusion.py", "vecs = [np.asarray(measurements[i], dtype=float) for i in present]",
+     "vecs = [self.model.C @ reports[i].posterior.mean for i in present]",
+     "vote-on-expert-means"),
+    ("experts.py", "self.misses >= self.stale_after:",
+     "self.misses >= self.stale_after + 10**9:", "no-stale-reset"),
+    # The closed-form axis block and the stacked scores.
+    ("kalman.py", "u * d + r * g0 * g1,", "u * d,", "dropped-joseph-r-g0-g1"),
+    ("kalman.py", "(p00, a01 + b.q01, p11 + b.q11)", "(p00, a01, p11 + b.q11)",
+     "dropped-q01-predict-term"),
+    ("kalman.py", "if not 0.0 < s < math.inf:", "if False:", "dropped-s-check"),
+    ("metrics.py", "np.where(ratio < 1.0, ratio, 1.0)) + 0.0", "np.where(ratio < 1.0, ratio, 1.0))",
+     "jaccard-without-plus-zero"),
+    ("metrics.py", "np.where(ratio < 1.0, ratio, 1.0)) + 0.0", "np.minimum(ratio, 1.0)) + 0.0",
+     "jaccard-np-minimum-clamp"),
+    # Block states: the expert's lazily built covariance and the centre's positions.
+    ("kalman.py", "np.array((0.0, *s.P))", "np.array((0.0, s.P[0], s.P[2], s.P[1]))",
+     "block-cov-p01-p11-swapped"),
+    ("fusion.py", "p.m0 if cv and type(p) is _BlockState", "p.m1 if cv and type(p) is _BlockState",
+     "centre-fuses-rates"),
+]
+
+
+def run(mutant) -> tuple[bool, str]:
+    """(killed, what killed it or why it could not run) for one mutant."""
+    file, old, new, _ = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        pkg = Path(tmp) / "habdf"
+        shutil.copytree(ROOT / "src" / "habdf", pkg, ignore=shutil.ignore_patterns("__pycache__"))
+        target = pkg / file
+        text = target.read_text()
+        if text.count(old) != 1:
+            return False, f"the old text occurs {text.count(old)} times in {file}"
+        target.write_text(text.replace(old, new))
+        env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run([sys.executable, "-c", "import habdf; print(habdf.__file__)"],
+                               env=env, capture_output=True, text=True).stdout.strip()
+        if Path(where).parent != pkg:
+            return False, f"habdf imports from {where or 'nowhere'}, not the mutated copy"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return False, "tier-1 passed"
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
+    return True, failed[0] if failed else f"pytest exited {proc.returncode}"
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m[3] in names]
+    if unknown := set(names) - {m[3] for m in MUTANTS}:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    survivors = 0
+    for mutant in chosen:
+        killed, detail = run(mutant)
+        survivors += not killed
+        print(f"{'killed  ' if killed else 'SURVIVED'} {mutant[3]}: {detail}", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

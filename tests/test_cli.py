@@ -333,6 +333,79 @@ class TestFuse:
         assert not out.exists()
 
 
+class TestConfigKeysAndValues:
+    """Each command reads only its own key groups, and an out-of-range value
+    is a config error: exit 2, one ``error:`` line naming the key, no output."""
+
+    def run(self, tmp_path, capsys, command, cfg_text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "o.csv"
+        if command == "fuse":
+            argv = ["fuse", TestFuse().write_tracks(tmp_path, frames=5), "--config", str(cfg)]
+        else:
+            argv = [command, "--config", str(cfg)] + (
+                ["--grid", "run.seed=1,2"] if command == "sweep" else [])
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists()
+        return rc, err
+
+    @pytest.mark.parametrize("command", ["fuse", "simulate", "sweep"])
+    @pytest.mark.parametrize("line, named", [
+        ("expert.confidence = 1", "expert.confidence: confidence must be in (0, 1), got 1.0"),
+        ("filter.meas_var = -1", "filter.meas_var: meas_var must be >= 0, got -1.0"),
+        ("filter.dt = 0", "filter.dt: dt must be positive and finite, got 0.0"),
+        ("filter.init_var = -5", "filter.init_var: init_var must be positive, got -5.0"),
+        ("vote.lambda = -1", "vote.lambda: lam must be >= 0 and finite, got -1.0"),
+        ("fusion.cov_floor = 0", "fusion.cov_floor: cov_floor must be > 0, got 0.0"),
+        ("fusion.stale_after = 0", "fusion.stale_after: stale_after must be >= 1, got 0"),
+    ])
+    def test_out_of_range_value_exits_2_naming_its_key(self, tmp_path, capsys, command, line,
+                                                       named):
+        text = SMALL_SCENARIO if command != "fuse" else "filter.meas_var = 25\n"
+        rc, err = self.run(tmp_path, capsys, command, text + line + "\n")
+        assert (rc, err) == (2, f"error: {named}\n")
+
+    @pytest.mark.parametrize("line, named", [
+        ("run.dt = -1", "run.dt: dt must be > 0, got -1.0"),
+        ("run.frames = 0", "run.frames: frames must be >= 1, got 0"),
+        ("run.seed = -1", "run.seed: seed must be a nonnegative integer, got -1"),
+        ("plant.damping = -1", "plant.damping: damping must be >= 0, got -1.0"),
+        ("setpoint.period = 0", "setpoint.period: period must be >= 1, got 0"),
+        ("sensor.2.meas_var = -1", "sensor.2.meas_var: meas_var must be >= 0, got -1.0"),
+        ("sensor.2.noise_sigma = -4", "sensor.2.noise_sigma: noise_sigma must be >= 0, got -4.0"),
+        ("fusion.gamma.2 = -1", "fusion.gamma, fusion.gamma.2: gamma entries must be > 0 and "
+                                "finite"),
+    ])
+    def test_out_of_range_scenario_value_exits_2_naming_its_key(self, tmp_path, capsys, line,
+                                                                named):
+        rc, err = self.run(tmp_path, capsys, "simulate", SMALL_SCENARIO + line + "\n")
+        assert (rc, err) == (2, f"error: {named}\n")
+
+    def test_fuse_refuses_keys_it_does_not_read_naming_the_first_line(self, tmp_path, capsys):
+        rc, err = self.run(tmp_path, capsys, "fuse",
+                           "filter.meas_var = 25\nsensor.2.noise_sigma = 50\nplant.gain = 7\n")
+        cfg = tmp_path / "run.cfg"
+        assert (rc, err) == (2, f"error: {cfg}:2: key 'sensor.2.noise_sigma' is not read by "
+                                "fuse, which reads only filter.*, expert.*, vote.*, fusion.* keys\n")
+
+    @pytest.mark.parametrize("line", ["plant.gain = 7", "run.frames = 600", "sensors.count = 3",
+                                      "setpoint.kind = square", "sensor.1.meas_var = 1"])
+    def test_fuse_refuses_each_other_group_even_at_its_default(self, tmp_path, capsys, line):
+        rc, err = self.run(tmp_path, capsys, "fuse", "filter.meas_var = 25\n" + line + "\n")
+        assert rc == 2 and f"run.cfg:2: key {line.split()[0]!r} is not read by fuse" in err
+
+    def test_bundled_scenario_and_benchmark_config_still_run(self, tmp_path, capsys):
+        bench_cfg = Path(__file__).resolve().parent.parent / "perfbench" / "track.cfg"
+        tracks = TestFuse().write_tracks(tmp_path, frames=5)
+        assert main(["fuse", tracks, "--config", str(bench_cfg),
+                     "--out", str(tmp_path / "f.csv")]) == 0
+        assert main(["simulate", "--config", "three_sensor_faults.scenario",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+
+
 class TestEval:
     def test_perfect_agreement_scores_one(self, tmp_path, capsys):
         boxes = {t: (10.0, 20.0, 30.0, 40.0) for t in range(5)}

@@ -1,5 +1,8 @@
 """Reliability scoring: distances, sigmoid penalty, calibration, staleness."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +27,7 @@ from habdf import (
     mahalanobis,
     mahalanobis_diag,
 )
-from habdf.kalman import _cholesky
+from habdf.kalman import _BlockState, _cholesky
 
 
 class TestMahalanobis:
@@ -204,6 +207,45 @@ class TestExpertReportContract:
         state = GaussianState([0.0], [[1.0]])
         with pytest.raises(ContractViolationError):
             ExpertReport(state, np.zeros(1), np.eye(1), -1.0, 0.5, 0)
+
+    @pytest.mark.parametrize("md", [np.inf, np.nan])
+    def test_rejects_nonfinite_md(self, md):
+        state = GaussianState([0.0], [[1.0]])
+        with pytest.raises(ContractViolationError, match="md must be finite and >= 0"):
+            ExpertReport(state, np.zeros(1), np.eye(1), md, 0.5, 0)
+
+
+class TestBlockStateReports:
+    """On a CV model the expert keeps block states, first and reset states
+    included, and builds its reports without re-validating them."""
+
+    def test_every_state_is_a_block_state_from_the_first_reading_on(self):
+        model = build_cv_model(2, 1.0, 0.5, 4.0)
+        exp = Expert(model, ExpertConfig(xi=chi2_xi(2, 0.95)), init_var=50.0, stale_after=2)
+        for y in ([1.0, 2.0], None, None, [1.5, 2.5], [2.0, 3.0]):
+            rep = exp.step(y)
+            assert type(rep) is ExpertReport and type(rep.posterior) is _BlockState
+            assert exp.state is rep.posterior
+        assert type(Expert(plain(model)).step([1.0, 2.0]).posterior) is GaussianState
+
+    def test_report_survives_deepcopy_and_pickle(self):
+        exp = Expert(build_track_model())
+        exp.step([100.0, 80.0, 40.0, 30.0])
+        rep = exp.step([101.0, 81.0, 40.0, 30.0])
+        for twin in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+            assert type(twin.posterior) is _BlockState
+            assert (twin.md, twin.w_M, twin.frame) == (rep.md, rep.w_M, rep.frame)
+            assert np.array_equal(twin.posterior.mean, rep.posterior.mean)
+            assert np.array_equal(twin.posterior.cov, rep.posterior.cov)
+            assert np.array_equal(twin.innovation_cov, rep.innovation_cov)
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_nonfinite_first_reading_is_refused_as_before(self, general):
+        model = build_track_model()
+        exp = Expert(plain(model) if general else model)
+        with pytest.raises(ContractViolationError, match="mean contains non-finite entries"):
+            exp.step([np.nan, 1.0, 2.0, 3.0])
+        assert exp.state is None and exp.frame == -1
 
 
 class TestExpertStep:

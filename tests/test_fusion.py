@@ -23,7 +23,7 @@ from habdf import (
     build_track_model,
     make_pipeline,
 )
-from habdf.kalman import COND_LIMIT
+from habdf.kalman import COND_LIMIT, _BlockState
 
 W_HI = float(np.nextafter(1.0, 0.0))
 
@@ -126,6 +126,50 @@ class TestFusionCenterBasics:
         est = center.step([None, make_report(model, box), None], [None, box, None])
         w = est.w_d[1]
         assert w == pytest.approx(1.0 + 2.0 * (1.0 + np.tanh(-50.0)), abs=1e-12)
+
+
+class TestBlockStatePositions:
+    """On a CV model the centre reads a block state's positions m0 directly;
+    they equal C @ posterior.mean, so fusing block-state reports is
+    bit-identical to fusing plain GaussianState reports of the same values,
+    on a CV centre and on a centre whose model carries no block."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 8]))
+    def test_block_and_plain_reports_fuse_bit_for_bit(self, seed, n):
+        rng = np.random.default_rng(seed)
+        model = build_track_model(meas_var=9.0)
+        general = LinearModel(model.A, model.B, model.C, model.Rww, model.Rvv)
+        block_cv, plain_cv, block_general = (FusionCenter(model, n), FusionCenter(model, n),
+                                             FusionCenter(general, n))
+        for frame in range(8):
+            meas, blocks, plains = [], [], []
+            for _ in range(n):
+                if rng.random() < 0.2:
+                    meas.append(None)
+                    blocks.append(None)
+                    plains.append(None)
+                    continue
+                m0 = np.array([300.0, 200.0, 80.0, 60.0]) + rng.normal(0, 20, 4)
+                p00, p11 = rng.uniform(1, 50, 2)
+                post = _BlockState(m0, rng.normal(0, 2, 4),
+                                   (p00, rng.uniform(-0.9, 0.9) * np.sqrt(p00 * p11), p11))
+                assert np.array_equal(model.C @ post.mean, post.m0)
+                w_M = rng.uniform(0.01, 0.99)
+                meas.append(m0 + rng.normal(0, 3, 4))
+                blocks.append(ExpertReport(post, m0, np.eye(4), 1.0, w_M, frame))
+                plains.append(ExpertReport(GaussianState(post.mean, post.cov), m0, np.eye(4),
+                                           1.0, w_M, frame))
+            got = [block_cv.step(blocks, meas), block_general.step(blocks, meas)]
+            want = plain_cv.step(plains, meas)
+            for est in got:
+                if want is None:
+                    assert est is None
+                    continue
+                for name in ("w_d", "w_M", "rvv_scale"):
+                    assert getattr(est, name).tobytes() == getattr(want, name).tobytes()
+                assert est.state.mean.tobytes() == want.state.mean.tobytes()
+                assert est.state.cov.tobytes() == want.state.cov.tobytes()
 
 
 class TestStackedOracleEquivalence:

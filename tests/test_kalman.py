@@ -1,5 +1,8 @@
 """Filter core: predict/update against independent oracles plus invariants."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from habdf import (
     kf_predict,
     kf_update,
 )
-from habdf.kalman import COND_LIMIT, _cholesky
+from habdf.kalman import COND_LIMIT, _BlockState, _cholesky
 
 
 def random_model(rng, n, p):
@@ -60,6 +63,57 @@ class TestGaussianState:
         # covariance (n = 2) or fail inside eigvalsh (n = 8).
         with pytest.raises(ContractViolationError, match="cov overflows when symmetrized"):
             GaussianState(np.zeros(n), 9e307 * np.eye(n))
+
+
+class TestBlockState:
+    """A block state holds positions, rates and the axis block (p00, p01, p11);
+    its mean and covariance are built on first read: the concatenation, and
+    P2 (x) I_k laid out entry by entry on +0.0 elsewhere. np.kron agrees up to
+    the sign of zero, since it writes p01 * 0.0 off the diagonals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.tuples(*[st.floats(-1e6, 1e6, allow_subnormal=True)] * 3),
+    )
+    def test_mean_and_cov_equal_the_explicit_layout_bit_for_bit(self, k, seed, block):
+        rng = np.random.default_rng(seed)
+        m0, m1 = rng.normal(0, 100, k), rng.normal(0, 5, k)
+        p00, p01, p11 = block
+        state = _BlockState(m0, m1, block)
+        assert "mean" not in vars(state) and "cov" not in vars(state)
+        want, d = np.zeros((2 * k, 2 * k)), np.arange(k)
+        want[d, d], want[d, k + d], want[k + d, d], want[k + d, k + d] = p00, p01, p01, p11
+        assert np.concatenate((m0, m1)).tobytes() == state.mean.tobytes()
+        assert want.tobytes() == state.cov.tobytes()
+        assert np.array_equal(np.kron([[p00, p01], [p01, p11]], np.eye(k)), state.cov)
+        assert state.mean is state.mean and state.cov is state.cov
+        assert isinstance(state, GaussianState) and state.dim == 2 * k
+
+    def test_negative_zero_keeps_its_sign_in_mean_and_cov(self):
+        state = _BlockState(np.array([-0.0]), np.array([0.0]), (-0.0, -0.0, 0.0))
+        assert np.signbit(state.mean).tolist() == [True, False]
+        assert np.signbit(state.cov).tolist() == [[True, True], [True, False]]
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_survives_deepcopy_and_pickle(self, read_first):
+        state = _BlockState(np.array([1.0, 2.0]), np.array([0.5, -0.5]), (4.0, 1.0, 2.0))
+        if read_first:
+            state.cov
+        for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert type(twin) is _BlockState
+            assert twin.P == state.P
+            assert np.array_equal(twin.m0, state.m0) and np.array_equal(twin.m1, state.m1)
+            assert np.array_equal(twin.mean, state.mean)
+            assert np.array_equal(twin.cov, state.cov)
+
+    def test_predict_reads_block_states_like_their_explicit_form(self):
+        model = build_cv_model(2, 0.5, 2.0, 9.0)
+        state = _BlockState(np.array([1.0, -3.0]), np.array([2.0, 0.25]), (40.0, 3.0, 7.0))
+        got = kf_predict(state, model)
+        want = kf_predict(GaussianState(state.mean, state.cov), model)
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
 
 
 class TestLinearModel:

@@ -457,7 +457,8 @@ class TestScenarioFromConfig:
     def test_default_xi_is_one_dof_on_the_scenario_path(self):
         cfg = parse_config_text("sensors.count = 3\nexpert.confidence = 0.99\n")
         assert scenario_from_config(cfg).fusion_config().expert.xi == chi2_xi(1, 0.99)
-        _, fusion_cfg, _ = tracking_setup_from_config(cfg, 3)
+        _, fusion_cfg, _ = tracking_setup_from_config(
+            parse_config_text("expert.confidence = 0.99\n"), 3)
         assert fusion_cfg.expert.xi == chi2_xi(4, 0.99)
 
     @pytest.mark.parametrize("key", ["sensor.0.noise_sigma", "sensor.4.meas_var",
@@ -473,6 +474,19 @@ class TestScenarioFromConfig:
                                 "fusion.gamma.9 = 1\nsensor.0.noise_sigma = 1\n")
         with pytest.raises(ConfigError, match=r"1\.\.3: fusion\.gamma\.9, sensor\.0\.noise_sigma$"):
             scenario_from_config(cfg)
+
+    @pytest.mark.parametrize("text, seed, named", [
+        ("run.seed = -2\n", None, "run.seed"),
+        ("", -1, "run.seed"),
+        ("run.dt = 0.05\nfilter.dt = -0.05\n", None, "filter.dt"),
+        ("sensor.1.spike_prob = 2\nsensor.3.spike_prob = 0.5\n", None, "sensor.1.spike_prob"),
+        ("sensor.2.shock_start = 9\nsensor.2.shock_end = 3\n", None,
+         "sensor.2.shock_start, sensor.2.shock_end"),
+    ])
+    def test_out_of_range_value_is_a_config_error_naming_its_key(self, text, seed, named):
+        cfg = parse_config_text("sensors.count = 3\n" + text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(named)}: "):
+            scenario_from_config(cfg, seed=seed)
 
     def test_per_detector_gains_expand(self):
         cfg = parse_config_text(
@@ -514,12 +528,29 @@ class TestTrackingSetup:
         assert model.C.shape == (4, 8)
         assert init_var == 1e4
 
-    @pytest.mark.parametrize("key", ["fusion.gamma.4", "fusion.delta.5", "sensor.5.meas_var"])
+    @pytest.mark.parametrize("key", ["fusion.gamma.4", "fusion.delta.5", "fusion.delta.4"])
     def test_index_outside_the_detectors_raises(self, key):
         cfg = parse_config_text(f"{key} = 2\n")
         with pytest.raises(ConfigError, match=rf"outside 1\.\.3: {re.escape(key)}$"):
             tracking_setup_from_config(cfg, 3)
         assert tracking_setup_from_config(cfg, 5)[1] is not None
+
+    def test_key_outside_the_fuse_groups_is_refused_with_its_line(self):
+        cfg = parse_config_text("filter.dt = 1\nrun.seed = 4\nplant.gain = 7\n", "f.cfg")
+        with pytest.raises(ConfigError, match=r"^f\.cfg:2: key 'run\.seed' is not read by fuse"):
+            tracking_setup_from_config(cfg, 3)
+
+    def test_program_built_config_names_the_key_without_a_line(self):
+        cfg = {**parse_config_text("filter.dt = 1\n"), "sensor.1.meas_var": 4.0}
+        with pytest.raises(ConfigError, match=r"^key 'sensor\.1\.meas_var' is not read by fuse"):
+            tracking_setup_from_config(cfg, 3)
+        # Defaults of the other groups are not settings: a plain copy still loads.
+        assert tracking_setup_from_config(dict(parse_config_text("filter.dt = 1\n")), 3)
+
+    def test_out_of_range_value_is_a_config_error_naming_its_key(self):
+        cfg = parse_config_text("expert.confidence = 1\n")
+        with pytest.raises(ConfigError, match=r"^expert\.confidence: confidence must be in"):
+            tracking_setup_from_config(cfg, 3)
 
     def test_per_detector_gains_expand(self):
         cfg = parse_config_text("fusion.gamma = 10\nfusion.gamma.2 = 99\n")
