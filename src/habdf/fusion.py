@@ -18,7 +18,14 @@ import numpy as np
 
 from .errors import ContractViolationError, InsufficientDetectorsError
 from .experts import Expert, ExpertConfig
-from .kalman import GaussianState, LinearModel, _BlockState, _trusted_model, kf_predict, kf_update
+from .kalman import (
+    GaussianState,
+    LinearModel,
+    _BlockState,
+    _trusted_model,
+    kf_predict,
+    kf_update,
+)
 from .voting import VoteConfig, _nearest_peer, vote_weight
 
 __all__ = [

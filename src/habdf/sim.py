@@ -315,11 +315,17 @@ def _sensor_seeds(run_seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
+# Models are immutable values, so the scenario check and the runs that follow
+# it share one per distinct (dt, accel_var, meas_var) instead of rebuilding it.
+_cv_model = lru_cache(maxsize=64)(build_cv_model)
+
+
 def _pipeline(scenario: SimScenario):
     """The expert bank and fusion centre that a run of ``scenario`` steps."""
     n = len(scenario.faults)
-    meas_vars = np.broadcast_to(np.asarray(scenario.meas_var, dtype=float), (n,))
-    models = [build_cv_model(1, scenario.filter_dt, scenario.accel_var, mv) for mv in meas_vars]
+    dt, accel_var = float(scenario.filter_dt), float(scenario.accel_var)
+    meas_vars = np.broadcast_to(np.asarray(scenario.meas_var, dtype=float), (n,)).tolist()
+    models = [_cv_model(1, dt, accel_var, mv) for mv in meas_vars]
     return make_pipeline(n, models, scenario.fusion, scenario.init_var)
 
 
