@@ -388,8 +388,8 @@ class TestConfigKeysAndValues:
         rc, err = self.run(tmp_path, capsys, "fuse",
                            "filter.meas_var = 25\nsensor.2.noise_sigma = 50\nplant.gain = 7\n")
         cfg = tmp_path / "run.cfg"
-        assert (rc, err) == (2, f"error: {cfg}:2: key 'sensor.2.noise_sigma' is not read by "
-                                "fuse, which reads only filter.*, expert.*, vote.*, fusion.* keys\n")
+        assert (rc, err) == (2, f"error: {cfg}:2: key 'sensor.2.noise_sigma' is not read by fuse, "
+                                "which reads only filter.*, expert.*, vote.*, fusion.* keys\n")
 
     @pytest.mark.parametrize("line", ["plant.gain = 7", "run.frames = 600", "sensors.count = 3",
                                       "setpoint.kind = square", "sensor.1.meas_var = 1"])

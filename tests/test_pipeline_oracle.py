@@ -57,13 +57,13 @@ def readings(n, faults, frames, seed):
     """Per-frame detector readings: a box moving at constant velocity, seen
     with noise, each detector carrying one fault over a window."""
     rng = np.random.default_rng(seed)
-    truth = np.array([300.0, 200.0, 80.0, 60.0]) + np.arange(frames)[:, None] * [3.0, -2.0, 0.2, 0.1]
+    rate = np.array([3.0, -2.0, 0.2, 0.1])
+    truth = np.array([300.0, 200.0, 80.0, 60.0]) + np.arange(frames)[:, None] * rate
     ys = truth[:, None, :] + rng.normal(0.0, 3.0, (frames, n, 4))
-    out = [[y for y in row] for row in ys]
+    out = [list(row) for row in ys]
     for i, (kind, start, length) in enumerate(faults):
-        window = range(start, min(start + length, frames))
-        for t in window:
-            if kind == "dropout" and rng.random() < 0.5 or kind == "gap":
+        for t in range(start, min(start + length, frames)):
+            if kind == "dropout" and rng.random() < 0.5:
                 out[t][i] = None
             elif kind == "freeze":
                 out[t][i] = ys[start, i]
