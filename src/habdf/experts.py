@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.special import expit, gammaincinv
+from scipy.special import gammaincinv
 
 from .errors import ContractViolationError
 from .kalman import (GaussianState, LinearModel, _BlockState, _cholesky, _cv_predict,
@@ -106,7 +107,10 @@ def local_weight(md: float, xi: float) -> float:
         raise ContractViolationError(f"xi must be finite, got {xi}")
     if math.isnan(md) or md < 0:
         raise ContractViolationError(f"md must be >= 0, got {md}")
-    w = float(expit(md - xi))
+    try:
+        w = 1.0 / (1.0 + math.exp(xi - md))
+    except OverflowError:  # exp past ~709.78: a weight below _W_LO
+        w = 0.0
     return min(max(w, _W_LO), _W_HI)
 
 
@@ -156,6 +160,13 @@ class ExpertReport:
             raise ContractViolationError(f"md must be finite and >= 0, got {self.md}")
         if not (0.0 < self.w_M < 1.0):
             raise ContractViolationError(f"w_M must lie in (0, 1), got {self.w_M}")
+
+
+class _BlockReport(ExpertReport):
+    """A closed-form expert's report. It keeps the innovation variance ``s``
+    and builds ``innovation_cov = s I_k`` the first time something reads it."""
+
+    innovation_cov = cached_property(lambda r: r.s * _eye(len(r.predicted_meas)))
 
 
 class Expert:
@@ -227,9 +238,10 @@ class Expert:
             last_meas, misses = self.last_meas, self.misses + 1
         else:
             last_meas, misses = y.copy(), 0
-        report = object.__new__(ExpertReport)  # the expert's own values, checked above
-        report.__dict__.update(posterior=posterior, predicted_meas=mu, innovation_cov=S,
-                               md=md, w_M=w, frame=frame)
+        report = object.__new__(ExpertReport if block is None else _BlockReport)
+        # The expert's own values, checked above; a block report holds S = s.
+        report.__dict__.update(posterior=posterior, predicted_meas=mu, md=md, w_M=w, frame=frame)
+        report.__dict__["innovation_cov" if block is None else "s"] = S
         self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame
         return report
 
@@ -251,9 +263,9 @@ class Expert:
 
     def _filter_cv(self, b, state, scored, y):
         """The same frame on the axis block ``b`` of a CV model, in closed form,
-        from and to block states."""
+        from and to block states; ``s`` stands in for ``S = s I_k``."""
         m0, m1, P, s = _cv_predict(b, state)
         r, rr = _residual(scored, m0)
         md = math.sqrt(rr / s)
         post = (m0, m1, P) if y is None else _cv_update(b, m0, m1, P, s, r)
-        return _BlockState(*post), m0, s * _eye(b.k), md
+        return _BlockState(*post), m0, s, md

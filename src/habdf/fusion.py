@@ -128,9 +128,11 @@ class FusionCenter:
         self.config = config or FusionConfig()
         self.gamma, self.delta = self.config.gains(n_detectors)
         self.init_cov = init_var * np.eye(model.state_dim)
-        # One copy of C per detector; a frame with m present uses the first m.
+        # One copy of C per detector, and the identity R is built on; a frame
+        # with m present uses the first m blocks of each.
         self._c_stack = np.vstack([model.C] * n_detectors)
-        self._c_stack.flags.writeable = False
+        self._eye_stack = np.eye(len(self._c_stack))
+        self._c_stack.flags.writeable = self._eye_stack.flags.writeable = False
         self.state: GaussianState | None = None
         self.frame = -1
 
@@ -157,11 +159,12 @@ class FusionCenter:
         ]
 
         w_m = np.array([np.nan if r is None else r.w_M for r in reports])
-        w_d, scale = [math.nan] * n, [math.nan] * n
+        w_d, scale, rvv = [math.nan] * n, [math.nan] * n, []
         vecs = [np.asarray(measurements[i], dtype=float) for i in present]
         for k, i in enumerate(present):
             w_d[i] = d = vote_weight(_nearest_peer(vecs, k), self.config.vote)
             scale[i] = adapt_rvv(d, w_m[i], self.gamma[i], self.delta[i], self.config.cov_floor)
+            rvv.append(scale[i])
         w_d, scale = np.array(w_d), np.array(scale)
 
         # Each present expert's positions: a block state's m0 is C @ mean when
@@ -176,22 +179,22 @@ class FusionCenter:
                 return None
             state = GaussianState(self.model.C.T @ np.mean(parts, axis=0), self.init_cov)
 
-        pred = kf_predict(state, self.model)
-        if not present:
-            self.state, self.frame = pred, frame
-            return FusedEstimate(pred, w_d, w_m, scale, frame, coasting=True)
-
-        p = self.model.meas_dim
-        y_stack = np.concatenate(parts)
-        r_stack = np.diag(np.repeat(scale[present], p))
-        # Assembled from validated pieces: PD by the floor, shapes by stacking.
-        stacked = _trusted_model(
-            self.model.A, self.model.B, self._c_stack[:len(present) * p],
-            self.model.Rww, r_stack,
-        )
-        post, _, _ = kf_update(pred, stacked, y_stack)
+        post = kf_predict(state, self.model)
+        if present:
+            p = self.model.meas_dim
+            q = len(present) * p
+            # diag(rvv repeated p times): the identity's columns, scaled.
+            r_stack = self._eye_stack[:q, :q] * np.repeat(rvv, p)
+            # Assembled from validated pieces: PD by the floor, shapes by stacking.
+            stacked = _trusted_model(
+                self.model.A, self.model.B, self._c_stack[:q], self.model.Rww, r_stack,
+            )
+            post = kf_update(post, stacked, np.concatenate(parts))[0]
         self.state, self.frame = post, frame
-        return FusedEstimate(post, w_d, w_m, scale, frame, coasting=False)
+        est = object.__new__(FusedEstimate)  # built from the values just made
+        est.__dict__.update(state=post, w_d=w_d, w_M=w_m, rvv_scale=scale, frame=frame,
+                            coasting=not present)
+        return est
 
 
 class Pipeline:

@@ -148,11 +148,13 @@ def _cholesky(S: np.ndarray, cond_limit: float = np.inf) -> np.ndarray:
     for an ``S`` with non-finite entries."""
     # LAPACK potrf directly: np.linalg.cholesky's wrapper costs several times
     # the 4x4 factorisation. OpenBLAS can pass a NaN with info 0; the NaN then
-    # reaches the diagonal, where the ratio test refuses it.
+    # reaches the diagonal. The ratio test runs on Python floats, whose min and
+    # max skip a NaN that does not come first, so the sum refuses it there.
     L, info = dpotrf(S, lower=1)
     if info == 0:
-        d = L.diagonal()
-        if (d.max() / d.min()) ** 2 <= cond_limit:
+        d = L.diagonal().tolist()
+        ratio = max(d) / min(d)
+        if ratio * ratio <= cond_limit and math.isfinite(sum(d)):
             return L
     cond = float(np.linalg.cond(S)) if np.isfinite(S).all() else np.inf
     raise DegenerateGeometryError("covariance is not numerically positive definite", cond)
@@ -170,8 +172,7 @@ def _trusted_state(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
 def _trusted_model(A, B, C, Rww, Rvv) -> LinearModel:
     # Internal fast path for models assembled from validated pieces.
     obj = object.__new__(LinearModel)
-    for name, val in (("A", A), ("B", B), ("C", C), ("Rww", Rww), ("Rvv", Rvv)):
-        object.__setattr__(obj, name, val)
+    obj.__dict__.update(A=A, B=B, C=C, Rww=Rww, Rvv=Rvv)
     return obj
 
 
@@ -231,7 +232,9 @@ def kf_update(state: GaussianState, model: LinearModel, y):
         raise ContractViolationError(
             f"measurement shape {y.shape} != ({model.meas_dim},)"
         )
-    if not np.isfinite(y).all():
+    # One scalar test first: a Python float sum, unlike y . y, cannot warn on
+    # overflow. A finite y whose sum overflows passes the array check.
+    if not math.isfinite(sum(y.tolist())) and not np.isfinite(y).all():
         raise ContractViolationError("measurement contains non-finite entries")
 
     C, P = model.C, state.cov

@@ -340,6 +340,8 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
         raise InsufficientDetectorsError(
             f"the bench needs at least 3 sensors, got {n}"
         )
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)  # the scenario's seed check
     run_seed = scenario.seed if seed is None else int(seed)
 
     sp = setpoint_profile(

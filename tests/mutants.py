@@ -48,6 +48,16 @@ MUTANTS = [
      "block-cov-p01-p11-swapped"),
     ("fusion.py", "p.m0 if cv and type(p) is _BlockState", "p.m1 if cv and type(p) is _BlockState",
      "centre-fuses-rates"),
+    # Scalar guards on Python floats, and the report's lazily built S.
+    ("kalman.py", "ratio * ratio <= cond_limit and math.isfinite(sum(d))",
+     "ratio * ratio <= cond_limit", "cholesky-without-nan-guard"),
+    ("kalman.py", "if not math.isfinite(sum(y.tolist())) and not np.isfinite(y).all():",
+     "if not math.isfinite(sum(y.tolist())):", "kf-update-without-array-fallback"),
+    ("experts.py", "    try:\n        w = 1.0 / (1.0 + math.exp(xi - md))\n"
+     "    except OverflowError:  # exp past ~709.78: a weight below _W_LO\n        w = 0.0\n",
+     "    w = 1.0 / (1.0 + math.exp(xi - md))\n", "local-weight-without-overflow-guard"),
+    ("experts.py", "r.s * _eye(len(r.predicted_meas))", "r.s * r.s * _eye(len(r.predicted_meas))",
+     "lazy-innovation-cov-s-squared"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Reliability scoring: distances, sigmoid penalty, calibration, staleness."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtrs
+from scipy.special import expit
 
 import oracles
 from habdf import (
@@ -27,6 +29,7 @@ from habdf import (
     mahalanobis,
     mahalanobis_diag,
 )
+from habdf.experts import _W_HI, _W_LO, _BlockReport
 from habdf.kalman import _BlockState, _cholesky
 
 
@@ -153,6 +156,32 @@ class TestLocalWeight:
         # An infinite distance is a valid, maximally distrusted reading.
         assert local_weight(num(np.inf), num(1.0)) == float(np.nextafter(1.0, 0.0))
 
+    @staticmethod
+    def clamped_expit(md, xi):
+        # The scipy form the Python-float sigmoid replaced, with the same clamp.
+        return min(max(float(expit(md - xi)), _W_LO), _W_HI)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.floats(min_value=-800.0, max_value=800.0), base=st.floats(0.0, 50.0))
+    @example(d=-709.78, base=0.0)
+    @example(d=-709.79, base=0.0)
+    @example(d=709.78, base=0.0)
+    @example(d=709.79, base=3.0)
+    @example(d=-800.0, base=0.0)
+    def test_equals_clamped_expit_bit_for_bit(self, d, base):
+        # md - xi spans [-800, 800], past math.exp's overflow at about 709.78.
+        md = base + max(d, 0.0)
+        xi = md - d
+        assert local_weight(md, xi).hex() == self.clamped_expit(md, xi).hex()
+
+    def test_equals_clamped_expit_on_a_grid_and_at_infinite_md(self):
+        # md - xi = d exactly: md = d, xi = 0 for d >= 0; md = 0, xi = -d below.
+        for d in np.linspace(-800.0, 800.0, 16001).tolist():
+            md, xi = max(d, 0.0), max(-d, 0.0)
+            assert local_weight(md, xi).hex() == self.clamped_expit(md, xi).hex(), d
+        for xi in (1e-3, 3.08, 709.78, 1e300):
+            assert local_weight(math.inf, xi) == self.clamped_expit(math.inf, xi) == _W_HI
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=0.01, max_value=30.0),
            st.floats(min_value=1e-6, max_value=5.0))
@@ -224,9 +253,10 @@ class TestBlockStateReports:
         exp = Expert(model, ExpertConfig(xi=chi2_xi(2, 0.95)), init_var=50.0, stale_after=2)
         for y in ([1.0, 2.0], None, None, [1.5, 2.5], [2.0, 3.0]):
             rep = exp.step(y)
-            assert type(rep) is ExpertReport and type(rep.posterior) is _BlockState
+            assert type(rep) is _BlockReport and type(rep.posterior) is _BlockState
             assert exp.state is rep.posterior
-        assert type(Expert(plain(model)).step([1.0, 2.0]).posterior) is GaussianState
+        rep = Expert(plain(model)).step([1.0, 2.0])
+        assert type(rep) is ExpertReport and type(rep.posterior) is GaussianState
 
     def test_report_survives_deepcopy_and_pickle(self):
         exp = Expert(build_track_model())
@@ -238,6 +268,25 @@ class TestBlockStateReports:
             assert np.array_equal(twin.posterior.mean, rep.posterior.mean)
             assert np.array_equal(twin.posterior.cov, rep.posterior.cov)
             assert np.array_equal(twin.innovation_cov, rep.innovation_cov)
+
+    def test_lazy_innovation_cov_is_s_times_identity_through_copies(self):
+        exp = Expert(build_track_model())
+        exp.step([100.0, 80.0, 40.0, 30.0])
+        exp.step(None)
+        rep = exp.step([103.0, 79.0, 41.0, 30.5])
+        s = rep.s
+        assert "innovation_cov" not in vars(rep)  # built on first read only
+        unread = [copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))]
+        want = s * np.eye(4)
+        assert rep.innovation_cov.tobytes() == want.tobytes()
+        assert rep.innovation_cov is rep.innovation_cov
+        read = [copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))]
+        for twin in unread + read:
+            assert type(twin) is _BlockReport and twin.s == s
+            assert twin.innovation_cov.tobytes() == want.tobytes()
+        # The public constructor still takes the matrix itself.
+        plain_rep = ExpertReport(rep.posterior, rep.predicted_meas, want, rep.md, rep.w_M, 2)
+        assert plain_rep.innovation_cov is want
 
     @pytest.mark.parametrize("general", [False, True])
     def test_nonfinite_first_reading_is_refused_as_before(self, general):

@@ -21,8 +21,10 @@ from habdf import (
     VoteConfig,
     adapt_rvv,
     build_track_model,
+    kf_update,
     make_pipeline,
 )
+from habdf import fusion
 from habdf.kalman import COND_LIMIT, _BlockState
 
 W_HI = float(np.nextafter(1.0, 0.0))
@@ -170,6 +172,50 @@ class TestBlockStatePositions:
                     assert getattr(est, name).tobytes() == getattr(want, name).tobytes()
                 assert est.state.mean.tobytes() == want.state.mean.tobytes()
                 assert est.state.cov.tobytes() == want.state.cov.tobytes()
+
+
+class TestStackedNoiseBlock:
+    """The centre builds its noise block as the identity's columns scaled by
+    each present detector's rvv, repeated p times. That block, and the fused
+    posterior, equal kf_update on a public model with an explicit np.diag
+    block, bit for bit, with ragged presence and rvv on the floor."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 8, 32]),
+           floor=st.booleans())
+    def test_noise_block_and_posterior_equal_an_explicit_diag_model(self, seed, n, floor):
+        rng = np.random.default_rng(seed)
+        cfg = (FusionConfig(vote=VoteConfig(0.0, 0.01, 20.0), gamma=0.1, delta=0.01,
+                            cov_floor=0.5) if floor else FusionConfig())
+        pipe = make_pipeline(n, build_track_model(meas_var=9.0), cfg, init_var=100.0)
+        calls, on_floor = [], []
+
+        def recording_update(pred, model, y):
+            calls.append((pred, model, y))
+            return kf_update(pred, model, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fusion, "kf_update", recording_update)
+            truth = np.array([300.0, 200.0, 80.0, 60.0])
+            for _ in range(12):
+                truth = truth + [2.0, -1.0, 0.1, 0.0]
+                meas = [None if rng.random() < 0.2 else truth + rng.normal(0, 5, 4)
+                        for _ in range(n)]
+                calls.clear()
+                est = pipe.step(meas)
+                if est is None or est.coasting:
+                    assert not calls
+                    continue
+                (pred, stacked, y), = calls
+                present = [i for i, m in enumerate(meas) if m is not None]
+                R = np.diag(np.repeat(est.rvv_scale[present], 4))
+                assert stacked.Rvv.tobytes() == R.tobytes()
+                explicit = LinearModel(stacked.A, stacked.B, stacked.C, stacked.Rww, R)
+                want = kf_update(pred, explicit, y)[0]
+                assert est.state.mean.tobytes() == want.mean.tobytes()
+                assert est.state.cov.tobytes() == want.cov.tobytes()
+                on_floor.append(min(est.rvv_scale[present]) == 0.5)
+        assert on_floor and all(on_floor) == floor
 
 
 class TestStackedOracleEquivalence:

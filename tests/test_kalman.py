@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from habdf import (
     kf_predict,
     kf_update,
 )
+from habdf import kalman
 from habdf.kalman import COND_LIMIT, _BlockState, _cholesky
 
 
@@ -246,6 +248,26 @@ class TestUpdate:
             assert np.array_equal(post.cov, 0.5 * (cov + cov.T))
             state = post
 
+    def test_finite_measurement_whose_sum_overflows_is_accepted_without_warning(self):
+        # The sum (and y . y) overflows to inf, so the scalar test fails and the
+        # array test decides: every entry is finite, so the update runs.
+        model = LinearModel(np.eye(2), np.zeros((2, 1)), np.eye(2), np.zeros((2, 2)), np.eye(2))
+        state = GaussianState([0.0, 0.0], np.eye(2))
+        y = np.array([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post, innovation, _ = kf_update(state, model, y)
+        assert np.array_equal(innovation, y)
+        np.testing.assert_allclose(post.mean, y / 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, np.inf],
+                                     [1e200, np.nan]])
+    def test_nonfinite_measurement_refused_with_the_same_message(self, bad):
+        model = LinearModel(np.eye(2), np.zeros((2, 1)), np.eye(2), np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(ContractViolationError,
+                           match="^measurement contains non-finite entries$"):
+            kf_update(GaussianState([0.0, 0.0], np.eye(2)), model, bad)
+
     def test_update_never_inflates_observed_covariance(self):
         rng = np.random.default_rng(3)
         model = LinearModel(np.eye(3), np.zeros((3, 1)), np.eye(3),
@@ -279,6 +301,19 @@ class TestCholesky:
             _cholesky(S)
         # No condition number exists for a matrix with NaN entries.
         assert exc.value.condition == np.inf
+
+    @pytest.mark.parametrize("at", range(4))
+    def test_nan_on_the_factor_diagonal_is_refused_at_every_position(self, monkeypatch, at):
+        # OpenBLAS can return a NaN factor with info 0. The ratio test's min and
+        # max skip a NaN that does not come first; the refusal must not.
+        S = np.diag([4.0, 9.0, 16.0, 25.0])
+        L = np.diag([2.0, 3.0, 4.0, 5.0])
+        L[at, at] = np.nan
+        monkeypatch.setattr(kalman, "dpotrf", lambda S, lower: (L.copy(), 0))
+        for limit in (np.inf, COND_LIMIT):
+            with pytest.raises(DegenerateGeometryError) as exc:
+                _cholesky(S, limit)
+            assert exc.value.condition == np.linalg.cond(S)
 
     def test_factor_ratio_above_limit_raises_with_finite_condition(self):
         S = np.diag([1e-7, 1e6])  # squared diagonal ratio 1e13

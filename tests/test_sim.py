@@ -28,6 +28,7 @@ from habdf import (
     setpoint_profile,
     steady_state,
 )
+from habdf import sim
 from habdf.records import scenario_from_config
 
 
@@ -253,6 +254,15 @@ class TestRunSimExperiment:
     def test_needs_three_sensors(self):
         with pytest.raises(InsufficientDetectorsError):
             run_sim_experiment(small_scenario(faults=(FaultProfile(), FaultProfile())))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_override_is_refused_before_any_work(self, seed, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(sim, "run_plant", no_work)
+        with pytest.raises(ContractViolationError, match="seed must be a nonnegative integer"):
+            run_sim_experiment(small_scenario(), seed=seed)
 
     def test_zero_fault_sensors_fuse_at_least_as_well_as_best(self):
         res = run_sim_experiment(small_scenario())
