@@ -87,7 +87,7 @@ def consensus_distance(boxes, i: int) -> float:
 
 def _nearest_peer(boxes, i: int) -> float:
     # Nearest-peer distance of box i; a lone box has no peer to disagree with.
-    # A plain loop: a generator and min cost about as much as the distances.
+    # A plain loop, with no generator to resume once per pair.
     best, box = (math.inf if len(boxes) > 1 else 0.0), boxes[i]
     for j in range(len(boxes)):
         if j != i and (d := box_distance(box, boxes[j])) < best:
