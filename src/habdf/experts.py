@@ -21,7 +21,7 @@ from scipy.special import gammaincinv
 
 from .errors import ContractViolationError
 from .kalman import (GaussianState, LinearModel, _BlockState, _cholesky, _cv_predict,
-                     _cv_update, _eye, _innovation_cov, kf_predict, kf_update)
+                     _cv_update, _eye, _innovation_cov, _trusted, kf_predict, kf_update)
 
 __all__ = [
     "mahalanobis",
@@ -238,10 +238,10 @@ class Expert:
             last_meas, misses = self.last_meas, self.misses + 1
         else:
             last_meas, misses = y.copy(), 0
-        report = object.__new__(ExpertReport if block is None else _BlockReport)
         # The expert's own values, checked above; a block report holds S = s.
-        report.__dict__.update(posterior=posterior, predicted_meas=mu, md=md, w_M=w, frame=frame)
-        report.__dict__["innovation_cov" if block is None else "s"] = S
+        cls, cov = (ExpertReport, "innovation_cov") if block is None else (_BlockReport, "s")
+        report = _trusted(cls, posterior=posterior, predicted_meas=mu, md=md, w_M=w,
+                          frame=frame, **{cov: S})
         self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame
         return report
 

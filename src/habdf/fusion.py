@@ -18,14 +18,7 @@ import numpy as np
 
 from .errors import ContractViolationError, InsufficientDetectorsError
 from .experts import Expert, ExpertConfig
-from .kalman import (
-    GaussianState,
-    LinearModel,
-    _BlockState,
-    _trusted_model,
-    kf_predict,
-    kf_update,
-)
+from .kalman import GaussianState, LinearModel, _BlockState, _eye, _trusted, kf_predict, kf_update
 from .voting import VoteConfig, _nearest_peer, vote_weight
 
 __all__ = [
@@ -56,8 +49,9 @@ def adapt_rvv(w_d: float, w_M: float, gamma: float = 1.0, delta: float = 1.0,
 class FusionConfig:
     """Fusion knobs.
 
-    gamma, delta: per-detector gains on the vote and reliability penalties;
-        scalars broadcast to all detectors.
+    gamma, delta: per-detector gains on the vote and reliability penalties,
+        a scalar for every detector or one entry per detector; ``gains(n)``
+        gives them back as two lists of n Python floats.
     cov_floor: lower bound keeping adapted noise positive definite.
     stale_after: consecutive silent frames after which an expert's covariance
         is reset on reacquisition.
@@ -76,14 +70,24 @@ class FusionConfig:
         if self.stale_after < 1:
             raise ContractViolationError(f"stale_after must be >= 1, got {self.stale_after}")
 
-    def gains(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcast gamma/delta to per-detector arrays of length n."""
+    def gains(self, n: int) -> tuple[list, list]:
+        """gamma and delta as two lists of n Python floats. A gain whose
+        largest noise scale, ``gamma * (omega0 + 2 * omega) + delta`` (w_d at
+        its top, w_M below 1), overflows is refused."""
         out = []
         for name, val in (("gamma", self.gamma), ("delta", self.delta)):
-            arr = np.broadcast_to(np.asarray(val, dtype=float), (n,)).copy()
-            if not np.isfinite(arr).all() or (arr <= 0).any():
+            arr = np.asarray(val, dtype=float)
+            if arr.ndim and arr.shape != (n,):
+                raise ContractViolationError(f"{name} has {arr.size} entries for {n} detectors")
+            vals = arr.tolist() if arr.ndim else [arr.item()] * n
+            if not all(v > 0 and math.isfinite(v) for v in vals):
                 raise ContractViolationError(f"{name} entries must be > 0 and finite")
-            out.append(arr)
+            out.append(vals)
+        top = float(self.vote.omega0) + 2.0 * float(self.vote.omega)  # vote_weight's largest
+        for g, d in zip(*out):
+            if not math.isfinite(g * top + d):
+                raise ContractViolationError("gamma overflows the largest noise scale gamma * "
+                                             f"(omega0 + 2 * omega) + delta, got {g}")
         return out[0], out[1]
 
 
@@ -128,11 +132,9 @@ class FusionCenter:
         self.config = config or FusionConfig()
         self.gamma, self.delta = self.config.gains(n_detectors)
         self.init_cov = init_var * np.eye(model.state_dim)
-        # One copy of C per detector, and the identity R is built on; a frame
-        # with m present uses the first m blocks of each.
+        # One copy of C per detector; a frame with m present uses the first m.
         self._c_stack = np.vstack([model.C] * n_detectors)
-        self._eye_stack = np.eye(len(self._c_stack))
-        self._c_stack.flags.writeable = self._eye_stack.flags.writeable = False
+        self._c_stack.flags.writeable = False
         self.state: GaussianState | None = None
         self.frame = -1
 
@@ -158,7 +160,7 @@ class FusionCenter:
             if measurements[i] is not None and reports[i] is not None
         ]
 
-        w_m = np.array([np.nan if r is None else r.w_M for r in reports])
+        w_m = [math.nan if r is None else r.w_M for r in reports]
         w_d, scale, rvv = [math.nan] * n, [math.nan] * n, []
         vecs = [np.asarray(measurements[i], dtype=float) for i in present]
         for k, i in enumerate(present):
@@ -183,18 +185,15 @@ class FusionCenter:
         if present:
             p = self.model.meas_dim
             q = len(present) * p
-            # diag(rvv repeated p times): the identity's columns, scaled.
-            r_stack = self._eye_stack[:q, :q] * np.repeat(rvv, p)
-            # Assembled from validated pieces: PD by the floor, shapes by stacking.
-            stacked = _trusted_model(
-                self.model.A, self.model.B, self._c_stack[:q], self.model.Rww, r_stack,
-            )
+            # diag(rvv repeated p times): the identity's columns, scaled. The
+            # model is assembled from validated pieces: PD by the floor, shapes
+            # by stacking.
+            stacked = _trusted(LinearModel, A=self.model.A, B=self.model.B, C=self._c_stack[:q],
+                               Rww=self.model.Rww, Rvv=_eye(q) * np.repeat(rvv, p))
             post = kf_update(post, stacked, np.concatenate(parts))[0]
         self.state, self.frame = post, frame
-        est = object.__new__(FusedEstimate)  # built from the values just made
-        est.__dict__.update(state=post, w_d=w_d, w_M=w_m, rvv_scale=scale, frame=frame,
-                            coasting=not present)
-        return est
+        return _trusted(FusedEstimate, state=post, w_d=w_d, w_M=np.array(w_m), rvv_scale=scale,
+                        frame=frame, coasting=not present)
 
 
 class Pipeline:

@@ -160,19 +160,13 @@ def _cholesky(S: np.ndarray, cond_limit: float = np.inf) -> np.ndarray:
     raise DegenerateGeometryError("covariance is not numerically positive definite", cond)
 
 
-def _trusted_state(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
-    # Internal fast path: the filter equations preserve symmetry and PSD, so
-    # states built from already-validated inputs skip re-validation.
-    obj = object.__new__(GaussianState)
-    object.__setattr__(obj, "mean", mean)
-    object.__setattr__(obj, "cov", cov)
-    return obj
-
-
-def _trusted_model(A, B, C, Rww, Rvv) -> LinearModel:
-    # Internal fast path for models assembled from validated pieces.
-    obj = object.__new__(LinearModel)
-    obj.__dict__.update(A=A, B=B, C=C, Rww=Rww, Rvv=Rvv)
+def _trusted(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, with no constructor run: the one
+    way to build a per-frame value from pieces its caller made or checked.
+    The filter equations keep symmetry and PSD, so their states need no
+    re-check; the public constructors keep every check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -197,7 +191,7 @@ def kf_predict(state: GaussianState, model: LinearModel, control=None) -> Gaussi
             raise ContractViolationError("control contains non-finite entries")
         mean = mean + model.B @ u
     cov = model.A @ state.cov @ model.A.T + model.Rww
-    return _trusted_state(mean, 0.5 * (cov + cov.T))
+    return _trusted(GaussianState, mean=mean, cov=0.5 * (cov + cov.T))
 
 
 def _innovation_cov(model: LinearModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +239,7 @@ def kf_update(state: GaussianState, model: LinearModel, y):
     mean = state.mean + K @ innovation
     I_KC = _eye(state.dim) - K @ C
     cov = I_KC @ P @ I_KC.T + K @ model.Rvv @ K.T
-    return _trusted_state(mean, 0.5 * (cov + cov.T)), innovation, S
+    return _trusted(GaussianState, mean=mean, cov=0.5 * (cov + cov.T)), innovation, S
 
 
 class _CVBlock(NamedTuple):

@@ -108,6 +108,9 @@ class VoteConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ContractViolationError(f"{name} must be >= 0 and finite, got {v}")
+        if not math.isfinite(float(self.omega0) + 2.0 * float(self.omega)):
+            raise ContractViolationError(
+                f"omega overflows the largest vote penalty omega0 + 2 * omega, got {self.omega}")
 
 
 def vote_weight(min_d: float, config: VoteConfig | None = None) -> float:

@@ -58,6 +58,11 @@ MUTANTS = [
      "    w = 1.0 / (1.0 + math.exp(xi - md))\n", "local-weight-without-overflow-guard"),
     ("experts.py", "r.s * _eye(len(r.predicted_meas))", "r.s * r.s * _eye(len(r.predicted_meas))",
      "lazy-innovation-cov-s-squared"),
+    # Settings refused where they are made, and the per-detector gain lists.
+    ("voting.py", "if not math.isfinite(float(self.omega0) + 2.0 * float(self.omega)):",
+     "if False:", "vote-config-without-overflow-bound"),
+    ("fusion.py", "if not math.isfinite(g * top + d):", "if False:", "gains-without-overflow-bound"),
+    ("fusion.py", "out.append(vals)", "out.append(vals[::-1])", "gain-list-reversed"),
 ]
 
 

@@ -189,6 +189,20 @@ class TestFuse:
         assert float(summary[0]["success_rate"]) == 1.0
         assert "success rate 1" in capsys.readouterr().out
 
+    def test_leading_frame_of_invalid_rows_writes_no_row(self, tmp_path):
+        # Frame 0 steps the pipeline with every detector absent; nothing has
+        # been seen, so the fused file starts at frame 1.
+        tracks = str(tmp_path / "tracks.csv")
+        write_track_csv(tracks, [
+            TrackRecord(t, d, 100.0 + t, 50.0, 40.0, 30.0, t > 0)
+            for t in range(4) for d in "abc"
+        ])
+        out = str(tmp_path / "fused.csv")
+        assert main(["fuse", tracks, "--config", self.write_cfg(tmp_path), "--out", out]) == 0
+        boxes = read_box_csv(out)
+        assert sorted(boxes) == [1, 2, 3]
+        np.testing.assert_allclose(np.asarray(boxes[1]), [101.0, 50.0, 40.0, 30.0], atol=1e-9)
+
     def test_two_detectors_exit_2_citing_three(self, tmp_path, capsys):
         tracks = self.write_tracks(tmp_path, n_dets=2)
         rc = main(["fuse", tracks, "--config", self.write_cfg(tmp_path),
@@ -361,6 +375,10 @@ class TestConfigKeysAndValues:
         ("vote.lambda = -1", "vote.lambda: lam must be >= 0 and finite, got -1.0"),
         ("fusion.cov_floor = 0", "fusion.cov_floor: cov_floor must be > 0, got 0.0"),
         ("fusion.stale_after = 0", "fusion.stale_after: stale_after must be >= 1, got 0"),
+        ("vote.omega = 1e308", "vote.omega: omega overflows the largest vote penalty "
+                               "omega0 + 2 * omega, got 1e+308"),
+        ("fusion.gamma = 1e308", "fusion.gamma: gamma overflows the largest noise scale "
+                                 "gamma * (omega0 + 2 * omega) + delta, got 1e+308"),
     ])
     def test_out_of_range_value_exits_2_naming_its_key(self, tmp_path, capsys, command, line,
                                                        named):
@@ -378,6 +396,10 @@ class TestConfigKeysAndValues:
         ("sensor.2.noise_sigma = -4", "sensor.2.noise_sigma: noise_sigma must be >= 0, got -4.0"),
         ("fusion.gamma.2 = -1", "fusion.gamma, fusion.gamma.2: gamma entries must be > 0 and "
                                 "finite"),
+        ("vote.omega = 9e307", "vote.omega: omega overflows the largest vote penalty "
+                               "omega0 + 2 * omega, got 9e+307"),
+        ("fusion.gamma.2 = 1e308", "fusion.gamma.2: gamma overflows the largest noise scale "
+                                   "gamma * (omega0 + 2 * omega) + delta, got 1e+308"),
     ])
     def test_out_of_range_scenario_value_exits_2_naming_its_key(self, tmp_path, capsys, line,
                                                                 named):

@@ -609,3 +609,26 @@ class TestCalibration:
                 flags.append(rep.md > cfg.xi)
         rate = np.mean(flags)
         assert 0.03 <= rate <= 0.07
+
+
+class TestRefusals:
+    """Each public check refuses its own bad input with its own message; the
+    expert's reports skip them, so they must hold here."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: mahalanobis([0.0, 0.0], [0.0, 0.0], np.eye(3)),
+                     r"cov shape \(3, 3\) does not match vector length 2", id="cov-shape"),
+        pytest.param(lambda: mahalanobis([0.0, 0.0], [0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+                     r"non-finite input to mahalanobis", id="cov-nonfinite"),
+        pytest.param(lambda: mahalanobis_diag([0.0, 0.0], [0.0, 0.0], [1.0]),
+                     r"mismatched shapes: y \(2,\), mu \(2,\), cov_diag \(1,\)", id="diag-shapes"),
+        pytest.param(lambda: mahalanobis_diag([np.nan, 0.0], [0.0, 0.0], [1.0, 1.0]),
+                     r"non-finite input to mahalanobis_diag", id="diag-nonfinite"),
+        pytest.param(lambda: ExpertConfig(xi=0.0),
+                     r"xi must be positive and finite, got 0.0", id="xi"),
+        pytest.param(lambda: Expert(build_track_model(), stale_after=0),
+                     r"stale_after must be >= 1, got 0", id="stale-after"),
+    ])
+    def test_bad_input_is_refused_naming_its_check(self, call, message):
+        with pytest.raises(ContractViolationError, match=message):
+            call()

@@ -1,5 +1,8 @@
 """Fusion center: adaptive noise, stacked updates, exclusion behavior."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from habdf import (
     Expert,
     ExpertReport,
     FusionCenter,
+    FusedEstimate,
     FusionConfig,
     GaussianState,
     HabdfError,
@@ -84,6 +88,46 @@ class TestFusionConfig:
     def test_nonpositive_gain_rejected(self):
         with pytest.raises(ContractViolationError):
             FusionConfig(gamma=(1.0, 0.0, 1.0)).gains(3)
+
+    @pytest.mark.parametrize("gamma, delta", [
+        (2.0, 3.0), ((1.0, 2.0, 3.0), 4.0), (np.float64(2.0), np.array([1.0, 2.0, 3.0])),
+        (np.array(5.0), [1, 2, 3]),
+    ])
+    def test_gains_come_back_as_lists_of_python_floats(self, gamma, delta):
+        g, d = FusionConfig(gamma=gamma, delta=delta).gains(3)
+        assert type(g) is list and type(d) is list and len(g) == len(d) == 3
+        assert all(type(v) is float for v in g + d)
+        assert g == np.broadcast_to(np.asarray(gamma, dtype=float), 3).tolist()
+        assert d == np.broadcast_to(np.asarray(delta, dtype=float), 3).tolist()
+
+    @pytest.mark.parametrize("field, value, count", [
+        ("gamma", (1.0, 2.0), 2), ("delta", (1.0,), 1), ("gamma", [[1.0, 2.0, 3.0]] * 2, 6),
+    ])
+    def test_gain_of_the_wrong_length_is_refused(self, field, value, count):
+        cfg = FusionConfig(**{field: value})
+        with pytest.raises(ContractViolationError,
+                           match=rf"^{field} has {count} entries for 3 detectors$"):
+            cfg.gains(3)
+        with pytest.raises(ContractViolationError, match=f"^{field} has {count} entries"):
+            make_pipeline(3, build_track_model(), cfg)
+
+    @pytest.mark.parametrize("gamma, delta, vote, got", [
+        (1e308, 1.0, VoteConfig(), 1e308),
+        ((1.0, 1e308, 1.0), 1.0, VoteConfig(), 1e308),
+        (1.0, 1.7e308, VoteConfig(0.0, 1e307), 1.0),
+        (6e307, 1.0, VoteConfig(0.0, 1.5), 6e307),
+    ])
+    def test_gain_whose_largest_noise_scale_overflows_is_refused(self, gamma, delta, vote, got):
+        cfg = FusionConfig(gamma=gamma, delta=delta, vote=vote)
+        with pytest.raises(ContractViolationError) as info:
+            cfg.gains(3)
+        assert str(info.value) == ("gamma overflows the largest noise scale gamma * "
+                                   f"(omega0 + 2 * omega) + delta, got {got}")
+
+    def test_largest_finite_noise_scale_is_accepted(self):
+        # gamma * (omega0 + 2 * omega) + delta = 1e308 * 1.0 + 1.0 stays finite.
+        g, d = FusionConfig(gamma=1e308, vote=VoteConfig(0.0, 0.5)).gains(3)
+        assert g == [1e308] * 3 and math.isfinite(adapt_rvv(1.0, W_HI, g[0], d[0]))
 
 
 class TestFusionCenterBasics:
@@ -216,6 +260,57 @@ class TestStackedNoiseBlock:
                 assert est.state.cov.tobytes() == want.cov.tobytes()
                 on_floor.append(min(est.rvv_scale[present]) == 0.5)
         assert on_floor and all(on_floor) == floor
+
+
+class TestTrustedFields:
+    """Per-frame values are built with kalman._trusted, which takes any
+    keyword. Each must hold exactly its dataclass's fields, so a misspelled
+    one fails here rather than as a missing attribute later. A block report
+    holds ``s`` until its ``innovation_cov`` is first read."""
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_every_per_frame_value_holds_exactly_its_fields(self, plain):
+        model = build_track_model(meas_var=9.0)
+        if plain:
+            model = LinearModel(model.A, model.B, model.C, model.Rww, model.Rvv)
+        pipe = make_pipeline(3, model, init_var=100.0)
+        names = {cls: {f.name for f in fields(cls)}
+                 for cls in (FusedEstimate, GaussianState, ExpertReport, LinearModel)}
+        models, reports = [], []
+
+        def recording_update(pred, stacked, y):
+            models.append(stacked)
+            return kf_update(pred, stacked, y)
+
+        def recording_step(reps, meas, step=pipe.center.step):
+            reports.extend(r for r in reps if r is not None)
+            return step(reps, meas)
+
+        rng = np.random.default_rng(3)
+        truth = np.array([300.0, 200.0, 80.0, 60.0])
+        frames = [[truth + rng.normal(0, 5, 4) for _ in range(3)] for _ in range(4)]
+        frames[2] = [None, frames[2][1], None]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fusion, "kf_update", recording_update)
+            mp.setattr(pipe.center, "step", recording_step)
+            ests = [pipe.step(meas) for meas in frames + [[None] * 3]]
+        assert ests[-1].coasting and len(models) == 4 and len(reports) == 15
+        for est in ests:
+            assert type(est) is FusedEstimate and vars(est).keys() == names[FusedEstimate]
+            assert type(est.state) is GaussianState
+            assert vars(est.state).keys() == names[GaussianState]
+        for stacked in models:
+            assert type(stacked) is LinearModel and vars(stacked).keys() == names[LinearModel]
+        for rep in reports:
+            post = vars(rep.posterior)
+            if plain:
+                assert type(rep) is ExpertReport and vars(rep).keys() == names[ExpertReport]
+                assert post.keys() == names[GaussianState]
+                continue
+            assert vars(rep).keys() == names[ExpertReport] - {"innovation_cov"} | {"s"}
+            assert post.keys() == {"m0", "m1", "P"}
+            rep.innovation_cov
+            assert vars(rep).keys() == names[ExpertReport] | {"s"}
 
 
 class TestStackedOracleEquivalence:

@@ -463,3 +463,53 @@ class TestStackedUpdateOracle:
         # cond(S) stays below ~1e8 here, so both solves agree far inside 1e-6.
         assert np.allclose(post.mean, mean, rtol=1e-6, atol=1e-6)
         assert np.allclose(post.cov, cov, rtol=0.0, atol=1e-6 * np.abs(state.cov).max())
+
+
+def _tiny(**kw):
+    """LinearModel arguments of a 2-state, 1-output model, with ``kw`` replacing some."""
+    return {"A": np.eye(2), "B": np.zeros((2, 1)), "C": np.ones((1, 2)), "Rww": np.eye(2),
+            "Rvv": np.eye(1), **kw}
+
+
+class TestRefusals:
+    """Each public check refuses its own bad input with its own message. The
+    filter builds per-frame values with no check at all, which is only safe
+    while these checks hold at the public constructors and functions."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: GaussianState(np.zeros(2), np.zeros(2)),
+                     r"cov must be a 2-D array, got ndim=1", id="cov-not-2d"),
+        pytest.param(lambda: GaussianState(np.zeros(2), np.zeros((2, 3))),
+                     r"cov must be square, got \(2, 3\)", id="cov-not-square"),
+        pytest.param(lambda: GaussianState(np.zeros((2, 1)), np.eye(2)),
+                     r"mean must be 1-D, got ndim=2", id="mean-not-1d"),
+        pytest.param(lambda: GaussianState(np.zeros(3), np.eye(2)),
+                     r"cov shape \(2, 2\) does not match mean length 3", id="cov-vs-mean"),
+        pytest.param(lambda: LinearModel(**_tiny(A=np.zeros((2, 3)))),
+                     r"A must be square, got \(2, 3\)", id="A-not-square"),
+        pytest.param(lambda: LinearModel(**_tiny(C=np.ones((1, 3)))),
+                     r"C cols 3 != state dim 2", id="C-cols"),
+        pytest.param(lambda: LinearModel(**_tiny(Rww=np.eye(3))),
+                     r"Rww shape \(3, 3\) != \(2, 2\)", id="Rww-shape"),
+        pytest.param(lambda: LinearModel(**_tiny(Rvv=np.eye(2))),
+                     r"Rvv shape \(2, 2\) != \(1, 1\)", id="Rvv-shape"),
+        pytest.param(lambda: kf_predict(GaussianState(np.zeros(2), np.eye(2)),
+                                        LinearModel(**_tiny()), control=[1.0, 2.0]),
+                     r"control shape \(2,\) != \(1,\)", id="control-shape"),
+        pytest.param(lambda: kf_predict(GaussianState(np.zeros(2), np.eye(2)),
+                                        LinearModel(**_tiny()), control=[np.nan]),
+                     r"control contains non-finite entries", id="control-nonfinite"),
+        pytest.param(lambda: kf_update(GaussianState(np.zeros(3), np.eye(3)),
+                                       LinearModel(**_tiny()), [1.0]),
+                     r"state dim 3 != model state dim 2", id="update-state-dim"),
+        pytest.param(lambda: kf_update(GaussianState(np.zeros(2), np.eye(2)),
+                                       LinearModel(**_tiny()), [1.0, 2.0]),
+                     r"measurement shape \(2,\) != \(1,\)", id="measurement-shape"),
+        pytest.param(lambda: build_cv_model(0, 1.0, 1.0, 1.0),
+                     r"n_axes must be >= 1, got 0", id="n-axes"),
+        pytest.param(lambda: build_cv_model(1, 1.0, -1.0, 1.0),
+                     r"accel_var must be >= 0, got -1.0", id="accel-var"),
+    ])
+    def test_bad_input_is_refused_naming_its_check(self, call, message):
+        with pytest.raises(ContractViolationError, match=message):
+            call()

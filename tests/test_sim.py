@@ -321,3 +321,45 @@ class TestRunSimExperiment:
         pre = res.rvv[2, 20:100].mean()
         during = res.rvv[2, 100:160].mean()
         assert during >= 5.0 * pre
+
+
+GAINS = PidGains(1.0, 0.1, 0.0, 1.0)
+
+
+class TestRefusals:
+    """Each public check of the bench physics refuses its own bad input with
+    its own message."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: SecondOrderPlant(1.0, 0.5, gain=np.inf),
+                     r"gain must be finite, got inf", id="plant-gain"),
+        pytest.param(lambda: plant_step([0.0, 0.0, 0.0], SecondOrderPlant(1.0, 0.5), 0.0),
+                     r"plant state must be a finite 2-vector", id="plant-state"),
+        pytest.param(lambda: plant_step([0.0, 0.0], SecondOrderPlant(1.0, 0.5), np.nan),
+                     r"input must be finite, got nan", id="plant-input"),
+        pytest.param(lambda: setpoint_profile("constant", 0),
+                     r"n must be >= 1, got 0", id="setpoint-n"),
+        pytest.param(lambda: FaultProfile(spike_mag=np.inf),
+                     r"spike_mag must be finite", id="spike-mag"),
+        pytest.param(lambda: FaultProfile(seed=-1),
+                     r"seed must be a nonnegative integer, got -1", id="fault-seed"),
+        pytest.param(lambda: inject_faults(np.zeros((2, 2)), FaultProfile()),
+                     r"clean signal must be 1-D, got ndim=2", id="clean-not-1d"),
+        pytest.param(lambda: inject_faults([0.0, np.nan], FaultProfile()),
+                     r"clean signal contains non-finite entries", id="clean-nonfinite"),
+        pytest.param(lambda: PidGains(1.0, 0.1, 0.0, dt=0.0),
+                     r"dt must be > 0, got 0.0", id="pid-dt"),
+        pytest.param(lambda: PidGains(np.inf, 0.1, 0.0, 1.0),
+                     r"kp must be finite", id="pid-kp"),
+        pytest.param(lambda: PidGains(1.0, 0.1, 0.0, 1.0, integral_limit=0.0),
+                     r"integral_limit must be > 0 or None, got 0.0", id="integral-limit"),
+        pytest.param(lambda: pid_step(np.nan, PidState(), GAINS),
+                     r"error must be finite, got nan", id="pid-error"),
+        pytest.param(lambda: run_pan_loop(GAINS, 0),
+                     r"frames must be >= 1, got 0", id="pan-frames"),
+        pytest.param(lambda: run_pan_loop(GAINS, 10, plant_gain=0.0),
+                     r"plant_gain must be > 0, got 0.0", id="pan-plant-gain"),
+    ])
+    def test_bad_input_is_refused_naming_its_check(self, call, message):
+        with pytest.raises(ContractViolationError, match=message):
+            call()

@@ -148,6 +148,18 @@ class TestVoteWeight:
         # An infinite distance saturates at the top of the range.
         assert vote_weight(num(np.inf), cfg) == 5.0
 
+    @pytest.mark.parametrize("omega0, omega", [(1.0, 9e307), (1.7e308, 1e307), (0.0, 1e308)])
+    def test_config_whose_top_penalty_overflows_is_refused(self, omega0, omega):
+        with pytest.raises(ContractViolationError) as info:
+            VoteConfig(omega0=omega0, omega=omega)
+        assert str(info.value) == ("omega overflows the largest vote penalty omega0 + 2 * omega, "
+                                   f"got {omega}")
+
+    @pytest.mark.parametrize("num", [float, np.float64])
+    def test_largest_finite_top_is_accepted_and_reached(self, num):
+        cfg = VoteConfig(omega0=num(0.0), omega=num(8e307))
+        assert vote_weight(np.inf, cfg) == 1.6e308
+
     @settings(max_examples=80, deadline=None)
     @given(st.floats(min_value=0.0, max_value=500.0),
            st.floats(min_value=0.0, max_value=500.0))
