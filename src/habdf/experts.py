@@ -211,7 +211,7 @@ class Expert:
         frame = self.frame + 1
         state, model = self.state, self.model
         if y is not None:
-            y = np.asarray(y, dtype=float)
+            y = np.array(y, dtype=float)  # the expert's own copy, kept as last_meas
             if state is None:
                 if y.shape != (model.meas_dim,):
                     raise ContractViolationError(f"y and mu must be matching vectors, "
@@ -226,22 +226,27 @@ class Expert:
             self.frame = frame
             return None
 
-        scored, block = (self.last_meas if y is None else y), model._cv_block
-        if block is None:
+        scored, b = (self.last_meas if y is None else y), model._cv_block
+        if b is None:
             posterior, mu, S, md = self._filter(state, scored, y)
         else:
-            posterior, mu, S, md = self._filter_cv(block, state, scored, y)
+            # The same frame on the axis block, in closed form, from and to
+            # block states; s stands in for S = s I_k.
+            mu, m1, P, s = _cv_predict(b, state)
+            r, rr = _residual(scored, mu)
+            md = math.sqrt(rr / s)
+            posterior = _BlockState(*((mu, m1, P) if y is None else _cv_update(b, mu, m1, P, s, r)))
         w = local_weight(md, self.config.xi)
         if not math.isfinite(md):
             raise ContractViolationError(f"md must be finite and >= 0, got {md}")
-        if y is None:
-            last_meas, misses = self.last_meas, self.misses + 1
+        last_meas, misses = (self.last_meas, self.misses + 1) if y is None else (y, 0)
+        # The expert's own values, checked above; a block report holds s.
+        if b is None:
+            report = _trusted(ExpertReport, posterior=posterior, predicted_meas=mu,
+                              innovation_cov=S, md=md, w_M=w, frame=frame)
         else:
-            last_meas, misses = y.copy(), 0
-        # The expert's own values, checked above; a block report holds S = s.
-        cls, cov = (ExpertReport, "innovation_cov") if block is None else (_BlockReport, "s")
-        report = _trusted(cls, posterior=posterior, predicted_meas=mu, md=md, w_M=w,
-                          frame=frame, **{cov: S})
+            report = _trusted(_BlockReport, posterior=posterior, predicted_meas=mu, s=s, md=md,
+                              w_M=w, frame=frame)
         self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame
         return report
 
@@ -260,12 +265,3 @@ class Expert:
         S = _innovation_cov(model, pred.cov)[0]
         md = mahalanobis(scored, mu, S)
         return (pred if y is None else kf_update(pred, model, y)[0]), mu, S, md
-
-    def _filter_cv(self, b, state, scored, y):
-        """The same frame on the axis block ``b`` of a CV model, in closed form,
-        from and to block states; ``s`` stands in for ``S = s I_k``."""
-        m0, m1, P, s = _cv_predict(b, state)
-        r, rr = _residual(scored, m0)
-        md = math.sqrt(rr / s)
-        post = (m0, m1, P) if y is None else _cv_update(b, m0, m1, P, s, r)
-        return _BlockState(*post), m0, s, md

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractViolationError, InsufficientDetectorsError
 from .experts import Expert, ExpertConfig
-from .kalman import GaussianState, LinearModel, _BlockState, _eye, _trusted, kf_predict, kf_update
+from .kalman import GaussianState, LinearModel, _BlockState, _trusted, kf_predict, kf_update
 from .voting import VoteConfig, _nearest_peer, vote_weight
 
 __all__ = [
@@ -43,6 +43,11 @@ def adapt_rvv(w_d: float, w_M: float, gamma: float = 1.0, delta: float = 1.0,
     if not (cov_floor > 0 and math.isfinite(cov_floor)):
         raise ContractViolationError(f"cov_floor must be > 0, got {cov_floor}")
     return float(max(gamma * w_d + delta * w_M, cov_floor))
+
+
+def _noise_top(gamma: float, omega0: float, omega: float, delta: float) -> float:
+    """adapt_rvv's largest value: w_d at vote_weight's top, w_M below 1."""
+    return gamma * (omega0 + 2.0 * omega) + delta
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,9 @@ class FusionConfig:
     def gains(self, n: int) -> tuple[list, list]:
         """gamma and delta as two lists of n Python floats. A gain whose
         largest noise scale, ``gamma * (omega0 + 2 * omega) + delta`` (w_d at
-        its top, w_M below 1), overflows is refused."""
+        its top, w_M below 1), overflows is refused, naming each term that at
+        its default of 1 would keep the scale finite (every term above 1 if
+        none would)."""
         out = []
         for name, val in (("gamma", self.gamma), ("delta", self.delta)):
             arr = np.asarray(val, dtype=float)
@@ -83,11 +90,16 @@ class FusionConfig:
             if not all(v > 0 and math.isfinite(v) for v in vals):
                 raise ContractViolationError(f"{name} entries must be > 0 and finite")
             out.append(vals)
-        top = float(self.vote.omega0) + 2.0 * float(self.vote.omega)  # vote_weight's largest
+        o0, o = float(self.vote.omega0), float(self.vote.omega)
         for g, d in zip(*out):
-            if not math.isfinite(g * top + d):
-                raise ContractViolationError("gamma overflows the largest noise scale gamma * "
-                                             f"(omega0 + 2 * omega) + delta, got {g}")
+            terms = {"gamma": g, "omega0": o0, "omega": o, "delta": d}
+            if not math.isfinite(_noise_top(**terms)):
+                big = [k for k, v in terms.items() if v > 1.0]
+                bad = [k for k in big if math.isfinite(_noise_top(**{**terms, k: 1.0}))] or big
+                raise ContractViolationError(
+                    f"{' and '.join(bad)} overflow{'s' * (len(bad) == 1)} the largest noise scale "
+                    "gamma * (omega0 + 2 * omega) + delta, "
+                    f"got {' and '.join(str(terms[k]) for k in bad)}")
         return out[0], out[1]
 
 
@@ -155,41 +167,45 @@ class FusionCenter:
                 f"expected {n} reports and measurements, got "
                 f"{len(reports)} and {len(measurements)}"
             )
-        present = [
-            i for i in range(n)
-            if measurements[i] is not None and reports[i] is not None
-        ]
+        model, gamma, delta, vote, floor = (self.model, self.gamma, self.delta,
+                                            self.config.vote, self.config.cov_floor)
+        C, cv, p = model.C, model._cv_block is not None, model.C.shape[0]
+        # One pass: every w_M, and each present detector's index, raw reading
+        # (the vote's input) and positions (the stacked measurement). A block
+        # state's m0 is C @ mean when C = [I_k 0]; any other posterior is projected.
+        present, vecs, parts, w_m = [], [], [], []
+        for i, (r, y) in enumerate(zip(reports, measurements)):
+            w_m.append(math.nan if r is None else r.w_M)
+            if y is not None and r is not None:
+                x = r.posterior
+                present.append(i)
+                vecs.append(np.asarray(y, dtype=float))
+                parts.append(x.m0 if cv and type(x) is _BlockState else C @ x.mean)
 
-        w_m = [math.nan if r is None else r.w_M for r in reports]
         w_d, scale, rvv = [math.nan] * n, [math.nan] * n, []
-        vecs = [np.asarray(measurements[i], dtype=float) for i in present]
         for k, i in enumerate(present):
-            w_d[i] = d = vote_weight(_nearest_peer(vecs, k), self.config.vote)
-            scale[i] = adapt_rvv(d, w_m[i], self.gamma[i], self.delta[i], self.config.cov_floor)
-            rvv.append(scale[i])
+            w_d[i] = d = vote_weight(_nearest_peer(vecs, k), vote)
+            scale[i] = s = adapt_rvv(d, w_m[i], gamma[i], delta[i], floor)
+            rvv += (s,) * p
         w_d, scale = np.array(w_d), np.array(scale)
 
-        # Each present expert's positions: a block state's m0 is C @ mean when
-        # C = [I_k 0]; any other posterior is projected.
-        C, cv = self.model.C, self.model._cv_block is not None
-        posts = [reports[i].posterior for i in present]
-        parts = [p.m0 if cv and type(p) is _BlockState else C @ p.mean for p in posts]
         state = self.state
         if state is None:
             if not present:
                 self.frame = frame
                 return None
-            state = GaussianState(self.model.C.T @ np.mean(parts, axis=0), self.init_cov)
+            state = GaussianState(C.T @ np.mean(parts, axis=0), self.init_cov)
 
-        post = kf_predict(state, self.model)
+        post = kf_predict(state, model)
         if present:
-            p = self.model.meas_dim
-            q = len(present) * p
-            # diag(rvv repeated p times): the identity's columns, scaled. The
-            # model is assembled from validated pieces: PD by the floor, shapes
-            # by stacking.
-            stacked = _trusted(LinearModel, A=self.model.A, B=self.model.B, C=self._c_stack[:q],
-                               Rww=self.model.Rww, Rvv=_eye(q) * np.repeat(rvv, p))
+            # diag(rvv) written onto zeros through a flat view: np.diag's bytes.
+            # The model is assembled from validated pieces: PD by the floor,
+            # shapes by stacking.
+            q = len(rvv)
+            R = np.zeros((q, q))
+            R.ravel()[::q + 1] = rvv
+            stacked = _trusted(LinearModel, A=model.A, B=model.B, C=self._c_stack[:q],
+                               Rww=model.Rww, Rvv=R)
             post = kf_update(post, stacked, np.concatenate(parts))[0]
         self.state, self.frame = post, frame
         return _trusted(FusedEstimate, state=post, w_d=w_d, w_M=np.array(w_m), rvv_scale=scale,

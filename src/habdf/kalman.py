@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf
 
 from .errors import ContractViolationError, DegenerateGeometryError
 
@@ -147,10 +147,15 @@ def _cholesky(S: np.ndarray, cond_limit: float = np.inf) -> np.ndarray:
     ``cond_limit``; cond(S) is computed on that error path only, and is inf
     for an ``S`` with non-finite entries."""
     # LAPACK potrf directly: np.linalg.cholesky's wrapper costs several times
-    # the 4x4 factorisation. OpenBLAS can pass a NaN with info 0; the NaN then
-    # reaches the diagonal. The ratio test runs on Python floats, whose min and
-    # max skip a NaN that does not come first, so the sum refuses it there.
-    L, info = dpotrf(S, lower=1)
+    # the 4x4 factorisation.
+    return _check_factor(S, *dpotrf(S, lower=1), cond_limit)
+
+
+def _check_factor(S: np.ndarray, L: np.ndarray, info: int, cond_limit: float) -> np.ndarray:
+    """``L``, the factor of ``S`` LAPACK returned with ``info``, unless
+    ``_cholesky`` would refuse it. OpenBLAS can pass a NaN with info 0; the NaN
+    then reaches the diagonal. The ratio test runs on Python floats, whose min
+    and max skip a NaN that does not come first, so the sum refuses it there."""
     if info == 0:
         d = L.diagonal().tolist()
         ratio = max(d) / min(d)
@@ -217,27 +222,28 @@ def kf_update(state: GaussianState, model: LinearModel, y):
     exceeds COND_LIMIT, raises DegenerateGeometryError. The posterior uses the
     Joseph stabilized form, keeping it symmetric PSD despite gain rounding.
     """
-    if state.dim != model.state_dim:
-        raise ContractViolationError(
-            f"state dim {state.dim} != model state dim {model.state_dim}"
-        )
+    mean, P, C = state.mean, state.cov, model.C
+    n, p = len(mean), len(C)
+    if n != len(model.A):
+        raise ContractViolationError(f"state dim {n} != model state dim {len(model.A)}")
     y = np.asarray(y, dtype=float)
-    if y.shape != (model.meas_dim,):
-        raise ContractViolationError(
-            f"measurement shape {y.shape} != ({model.meas_dim},)"
-        )
+    if y.shape != (p,):
+        raise ContractViolationError(f"measurement shape {y.shape} != ({p},)")
     # One scalar test first: a Python float sum, unlike y . y, cannot warn on
     # overflow. A finite y whose sum overflows passes the array check.
     if not math.isfinite(sum(y.tolist())) and not np.isfinite(y).all():
         raise ContractViolationError("measurement contains non-finite entries")
 
-    C, P = model.C, state.cov
     S, CP = _innovation_cov(model, P)
-    innovation = y - C @ state.mean
-    # LAPACK potrs (cho_solve without the wrapper's checks, which cost more).
-    K = dpotrs(_cholesky(S, COND_LIMIT), CP, lower=1)[0].T
-    mean = state.mean + K @ innovation
-    I_KC = _eye(state.dim) - K @ C
+    innovation = y - C @ mean
+    # LAPACK posv: potrf then potrs in one call, without the checks of
+    # cho_factor and cho_solve, which cost more; the factor is checked as in
+    # _cholesky.
+    L, K, info = dposv(S, CP, lower=1)
+    _check_factor(S, L, info, COND_LIMIT)
+    K = K.T
+    mean = mean + K @ innovation
+    I_KC = _eye(n) - K @ C
     cov = I_KC @ P @ I_KC.T + K @ model.Rvv @ K.T
     return _trusted(GaussianState, mean=mean, cov=0.5 * (cov + cov.T)), innovation, S
 

@@ -371,17 +371,21 @@ _ARG_KEYS = {"lam": {"lambda"}, "xi": {"confidence"}, "shock_window": {"shock_st
 
 def _naming_keys(build):
     """``build(cfg, ...)``, re-raising a ContractViolationError as a ConfigError
-    that names the keys of ``cfg`` holding the argument its message starts
-    with; of several, the ones whose value the message quotes."""
+    that names the keys of ``cfg`` holding each argument its message starts
+    with (``a and b overflow ..., got 1.0 and 2.0`` starts with two); of
+    several keys for one argument, the ones whose value the message quotes."""
     @functools.wraps(build)
     def wrapped(cfg, *args, **kwargs):
         try:
             return build(cfg, *args, **kwargs)
         except ContractViolationError as exc:
-            msg, arg = str(exc), str(exc).split()[0]
-            keys = [k for k in cfg if _ARG_KEYS.get(arg, {arg}) & set(k.split("."))]
-            keys = [k for k in keys if msg.endswith(f"got {cfg[k]}")] or keys or ["config"]
-            raise ConfigError(f"{', '.join(keys)}: {msg}") from None
+            msg, keys = str(exc), []
+            names = re.match(r"\S+(?: and \S+)*", msg)[0].split(" and ")
+            quoted = msg.rpartition("got ")[2].split(" and ") + [None] * len(names)
+            for arg, got in zip(names, quoted):
+                held = [k for k in cfg if _ARG_KEYS.get(arg, {arg}) & set(k.split("."))]
+                keys += [k for k in held if str(cfg[k]) == got] or held
+            raise ConfigError(f"{', '.join(keys or ['config'])}: {msg}") from None
     return wrapped
 
 

@@ -122,4 +122,6 @@ def vote_weight(min_d: float, config: VoteConfig | None = None) -> float:
     cfg = config or VoteConfig()
     if math.isnan(min_d) or min_d < 0:
         raise ContractViolationError(f"min_d must be >= 0, got {min_d}")
-    return float(cfg.omega0 + cfg.omega * (1.0 + np.tanh(min_d - cfg.lam)))
+    # np.tanh, not math.tanh, whose last bit differs on some inputs; the rest
+    # on Python floats, so a float32 or int setting still sums in float64.
+    return float(cfg.omega0) + float(cfg.omega) * (1.0 + float(np.tanh(min_d - cfg.lam)))

@@ -25,12 +25,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # (file under src/habdf, old text, new text, name)
 MUTANTS = [
     # The paper's noise law and the expert's reset.
-    ("fusion.py", "self.gamma[i], self.delta[i], self.config.cov_floor",
-     "self.delta[i], self.gamma[i], self.config.cov_floor", "swapped-gamma-delta"),
+    ("fusion.py", "d, w_m[i], gamma[i], delta[i], floor", "d, w_m[i], delta[i], gamma[i], floor",
+     "swapped-gamma-delta"),
     ("fusion.py", "return float(max(gamma * w_d + delta * w_M, cov_floor))",
      "return float(gamma * w_d + delta * w_M)", "no-floor"),
-    ("fusion.py", "vecs = [np.asarray(measurements[i], dtype=float) for i in present]",
-     "vecs = [self.model.C @ reports[i].posterior.mean for i in present]",
+    ("fusion.py", "vecs.append(np.asarray(y, dtype=float))", "vecs.append(C @ x.mean)",
      "vote-on-expert-means"),
     ("experts.py", "self.misses >= self.stale_after:",
      "self.misses >= self.stale_after + 10**9:", "no-stale-reset"),
@@ -46,7 +45,7 @@ MUTANTS = [
     # Block states: the expert's lazily built covariance and the centre's positions.
     ("kalman.py", "np.array((0.0, *s.P))", "np.array((0.0, s.P[0], s.P[2], s.P[1]))",
      "block-cov-p01-p11-swapped"),
-    ("fusion.py", "p.m0 if cv and type(p) is _BlockState", "p.m1 if cv and type(p) is _BlockState",
+    ("fusion.py", "x.m0 if cv and type(x) is _BlockState", "x.m1 if cv and type(x) is _BlockState",
      "centre-fuses-rates"),
     # Scalar guards on Python floats, and the report's lazily built S.
     ("kalman.py", "ratio * ratio <= cond_limit and math.isfinite(sum(d))",
@@ -61,8 +60,21 @@ MUTANTS = [
     # Settings refused where they are made, and the per-detector gain lists.
     ("voting.py", "if not math.isfinite(float(self.omega0) + 2.0 * float(self.omega)):",
      "if False:", "vote-config-without-overflow-bound"),
-    ("fusion.py", "if not math.isfinite(g * top + d):", "if False:", "gains-without-overflow-bound"),
+    ("fusion.py", "if not math.isfinite(_noise_top(**terms)):", "if False:",
+     "gains-without-overflow-bound"),
     ("fusion.py", "out.append(vals)", "out.append(vals[::-1])", "gain-list-reversed"),
+    # One LAPACK factor-and-solve, the noise block's diagonal, the expert's own
+    # copy of each reading and the terms an overflowing scale names.
+    ("kalman.py", "_check_factor(S, L, info, COND_LIMIT)", "_check_factor(S, L, info, math.inf)",
+     "kf-update-skips-factor-check"),
+    ("fusion.py", "R.ravel()[::q + 1] = rvv", "R.ravel()[::q] = rvv[:q]",
+     "noise-block-diagonal-stride"),
+    ("experts.py", "y = np.array(y, dtype=float)", "y = np.asarray(y, dtype=float)",
+     "expert-aliases-reading"),
+    ("fusion.py", "bad = [k for k in big if math.isfinite(_noise_top(**{**terms, k: 1.0}))] or big",
+     "bad = [\"gamma\"]", "overflow-blames-gamma-alone"),
+    ("voting.py", "float(cfg.omega0) + float(cfg.omega) *", "cfg.omega0 + cfg.omega *",
+     "vote-weight-in-setting-precision"),
 ]
 
 

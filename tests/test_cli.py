@@ -379,6 +379,13 @@ class TestConfigKeysAndValues:
                                "omega0 + 2 * omega, got 1e+308"),
         ("fusion.gamma = 1e308", "fusion.gamma: gamma overflows the largest noise scale "
                                  "gamma * (omega0 + 2 * omega) + delta, got 1e+308"),
+        # An ordinary gain is named beside the term that makes the scale overflow.
+        ("vote.omega0 = 1e308\nfusion.gamma = 2",
+         "fusion.gamma, vote.omega0: gamma and omega0 overflow the largest noise scale "
+         "gamma * (omega0 + 2 * omega) + delta, got 2.0 and 1e+308"),
+        ("vote.omega0 = 1e308\nfusion.gamma = 1\nfusion.delta = 1e308",
+         "vote.omega0, fusion.delta: omega0 and delta overflow the largest noise scale "
+         "gamma * (omega0 + 2 * omega) + delta, got 1e+308 and 1e+308"),
     ])
     def test_out_of_range_value_exits_2_naming_its_key(self, tmp_path, capsys, command, line,
                                                        named):
@@ -400,6 +407,12 @@ class TestConfigKeysAndValues:
                                "omega0 + 2 * omega, got 9e+307"),
         ("fusion.gamma.2 = 1e308", "fusion.gamma.2: gamma overflows the largest noise scale "
                                    "gamma * (omega0 + 2 * omega) + delta, got 1e+308"),
+        ("fusion.gamma = 1\nfusion.gamma.2 = 3\nvote.omega = 5e307",
+         "fusion.gamma.2, vote.omega: gamma and omega overflow the largest noise scale "
+         "gamma * (omega0 + 2 * omega) + delta, got 3.0 and 5e+307"),
+        ("fusion.delta.3 = 1.7e308\nvote.omega = 1e307\nfusion.gamma = 1",
+         "vote.omega, fusion.delta.3: omega and delta overflow the largest noise scale "
+         "gamma * (omega0 + 2 * omega) + delta, got 1e+307 and 1.7e+308"),
     ])
     def test_out_of_range_scenario_value_exits_2_naming_its_key(self, tmp_path, capsys, line,
                                                                 named):

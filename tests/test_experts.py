@@ -368,6 +368,25 @@ class TestExpertStep:
         assert exp.state.cov[0, 0] < 10.0
 
 
+class TestOwnedReading:
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_coast_scores_the_reading_given_not_the_callers_reused_buffer(self, closed_form):
+        # A caller may fill one buffer per frame. The expert keeps the reading
+        # it was given, so overwriting the buffer before a coast changes nothing.
+        model = build_cv_model(2, 1.0, 0.5, 1.0)
+        model = model if closed_form else plain(model)
+        exp, twin, buf = Expert(model), Expert(model), np.zeros(2)
+        readings = ([0.0, 0.0], [1.0, 2.0], [2.0, 4.0])
+        for y in readings:
+            buf[:] = y
+            exp.step(buf)
+            twin.step(list(y))
+        buf[:] = [500.0, -500.0]
+        got, want = exp.step(None), twin.step(None)
+        assert exp.last_meas is not buf and np.array_equal(exp.last_meas, readings[-1])
+        assert (got.md, got.w_M) == (want.md, want.w_M)
+
+
 class TestAtomicExpertStep:
     """A bare expert whose step raises is left exactly as before the call."""
 

@@ -111,17 +111,25 @@ class TestFusionConfig:
         with pytest.raises(ContractViolationError, match=f"^{field} has {count} entries"):
             make_pipeline(3, build_track_model(), cfg)
 
-    @pytest.mark.parametrize("gamma, delta, vote, got", [
-        (1e308, 1.0, VoteConfig(), 1e308),
-        ((1.0, 1e308, 1.0), 1.0, VoteConfig(), 1e308),
-        (1.0, 1.7e308, VoteConfig(0.0, 1e307), 1.0),
-        (6e307, 1.0, VoteConfig(0.0, 1.5), 6e307),
+    # The refusal names each term that, put back to its default 1, keeps the
+    # scale finite; when none does, every term above 1.
+    @pytest.mark.parametrize("gamma, delta, vote, named, got", [
+        (1e308, 1.0, VoteConfig(), "gamma overflows", "1e+308"),
+        ((1.0, 1e308, 1.0), 1.0, VoteConfig(), "gamma overflows", "1e+308"),
+        (1.0, 1.7e308, VoteConfig(0.0, 1e307), "omega and delta overflow", "1e+307 and 1.7e+308"),
+        (6e307, 1.0, VoteConfig(0.0, 1.5), "gamma and omega overflow", "6e+307 and 1.5"),
+        (2.0, 1.0, VoteConfig(1e308, 0.0), "gamma and omega0 overflow", "2.0 and 1e+308"),
+        (1.0, 1e308, VoteConfig(1e308, 0.0), "omega0 and delta overflow", "1e+308 and 1e+308"),
+        ((1.0, 1.0, 3.0), 1.0, VoteConfig(1.0, 5e307), "gamma and omega overflow", "3.0 and 5e+307"),
+        (2.0, 1e308, VoteConfig(4e307, 4e307), "gamma and omega0 and omega and delta overflow",
+         "2.0 and 4e+307 and 4e+307 and 1e+308"),
     ])
-    def test_gain_whose_largest_noise_scale_overflows_is_refused(self, gamma, delta, vote, got):
+    def test_gain_whose_largest_noise_scale_overflows_is_refused(self, gamma, delta, vote, named,
+                                                                got):
         cfg = FusionConfig(gamma=gamma, delta=delta, vote=vote)
         with pytest.raises(ContractViolationError) as info:
             cfg.gains(3)
-        assert str(info.value) == ("gamma overflows the largest noise scale gamma * "
+        assert str(info.value) == (f"{named} the largest noise scale gamma * "
                                    f"(omega0 + 2 * omega) + delta, got {got}")
 
     def test_largest_finite_noise_scale_is_accepted(self):

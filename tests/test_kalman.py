@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 import oracles
 from habdf import (
@@ -267,6 +268,76 @@ class TestUpdate:
         with pytest.raises(ContractViolationError,
                            match="^measurement contains non-finite entries$"):
             kf_update(GaussianState([0.0, 0.0], np.eye(2)), model, bad)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_posterior_equals_the_potrf_then_potrs_route_bit_for_bit(self, seed):
+        # posv runs potrf then potrs; the gain, and so every posterior bit, must
+        # equal the two calls made one after the other.
+        rng = np.random.default_rng(seed)
+        for n, p, copies in ((2, 1, 1), (8, 4, 3), (8, 4, 8), (5, 3, 2)):
+            base = random_model(rng, n, p)
+            C = np.vstack([base.C] * copies)
+            R = np.diag(rng.uniform(1e-3, 1e3, p * copies))
+            model = LinearModel(base.A, base.B, C, base.Rww, R)
+            state = kf_predict(random_state(rng, n), model)
+            y = C @ state.mean + rng.normal(0, 3, C.shape[0])
+            m, P = state.mean, state.cov
+            S = C @ P @ C.T + R
+            S = 0.5 * (S + S.T)
+            L, info = dpotrf(S, lower=1)
+            assert info == 0
+            K = dpotrs(L, C @ P, lower=1)[0].T
+            I_KC = np.eye(n) - K @ C
+            cov = I_KC @ P @ I_KC.T + K @ R @ K.T
+            post = kf_update(state, model, y)[0]
+            assert post.mean.tobytes() == (m + K @ (y - C @ m)).tobytes()
+            assert post.cov.tobytes() == (0.5 * (cov + cov.T)).tobytes()
+
+    @staticmethod
+    def _refused_alike(state, model, y):
+        """kf_update's error equals _cholesky's on the same S, message and cond."""
+        S = model.C @ state.cov @ model.C.T + model.Rvv
+        S = 0.5 * (S + S.T)
+        with pytest.raises(DegenerateGeometryError) as want:
+            _cholesky(S, COND_LIMIT)
+        with pytest.raises(DegenerateGeometryError) as got:
+            kf_update(state, model, y)
+        assert (str(got.value), got.value.condition) == (str(want.value), want.value.condition)
+        return got.value
+
+    def test_not_positive_definite_innovation_is_refused_as_by_cholesky(self):
+        # A trusted model can carry an indefinite Rvv; S = diag(-1, 2) fails to factor.
+        model = kalman._trusted(LinearModel, A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2),
+                                Rww=np.zeros((2, 2)), Rvv=np.diag([-2.0, 1.0]))
+        err = self._refused_alike(GaussianState([0.0, 0.0], np.eye(2)), model, [1.0, 1.0])
+        assert err.condition == pytest.approx(2.0, rel=1e-12)
+
+    def test_factor_ratio_past_cond_limit_is_refused_as_by_cholesky(self):
+        # S = diag(1e-7, 1e6) factors; only the squared diagonal ratio, 1e13, refuses it.
+        model = LinearModel(np.eye(2), np.zeros((2, 1)), np.eye(2), np.zeros((2, 2)),
+                            np.diag([1e-7, 1e6]))
+        err = self._refused_alike(GaussianState([0.0, 0.0], np.zeros((2, 2))), model, [1.0, 1.0])
+        assert COND_LIMIT < err.condition < np.inf
+
+    def test_nan_carrying_innovation_is_refused_as_by_cholesky(self):
+        R = np.eye(4)
+        R[2, 1] = R[1, 2] = np.nan
+        model = kalman._trusted(LinearModel, A=np.eye(4), B=np.zeros((4, 1)), C=np.eye(4),
+                                Rww=np.zeros((4, 4)), Rvv=R)
+        err = self._refused_alike(GaussianState(np.zeros(4), np.eye(4)), model, np.ones(4))
+        assert err.condition == np.inf
+
+    @pytest.mark.parametrize("at", range(4))
+    def test_nan_on_the_factor_diagonal_is_refused(self, monkeypatch, at):
+        # As for _cholesky: a factor with info 0 but a NaN on its diagonal.
+        L = np.diag([2.0, 3.0, 4.0, 5.0])
+        L[at, at] = np.nan
+        monkeypatch.setattr(kalman, "dposv", lambda S, b, lower: (L.copy(), b.copy(), 0))
+        model = LinearModel(np.eye(4), np.zeros((4, 1)), np.eye(4), np.zeros((4, 4)),
+                            np.diag([3.0, 8.0, 15.0, 24.0]))
+        with pytest.raises(DegenerateGeometryError) as exc:
+            kf_update(GaussianState(np.zeros(4), np.eye(4)), model, np.ones(4))
+        assert exc.value.condition == np.linalg.cond(np.diag([4.0, 9.0, 16.0, 25.0]))
 
     def test_update_never_inflates_observed_covariance(self):
         rng = np.random.default_rng(3)
