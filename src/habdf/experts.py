@@ -211,7 +211,10 @@ class Expert:
         frame = self.frame + 1
         state, model = self.state, self.model
         if y is not None:
-            y = np.array(y, dtype=float)  # the expert's own copy, kept as last_meas
+            try:
+                y = np.array(y, dtype=float)  # the expert's own copy, kept as last_meas
+            except (TypeError, ValueError) as exc:  # text, a ragged nesting, an object
+                raise ContractViolationError(f"reading is not numeric: {exc}") from exc
             if state is None:
                 if y.shape != (model.meas_dim,):
                     raise ContractViolationError(f"y and mu must be matching vectors, "

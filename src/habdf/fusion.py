@@ -90,9 +90,8 @@ class FusionConfig:
             if not all(v > 0 and math.isfinite(v) for v in vals):
                 raise ContractViolationError(f"{name} entries must be > 0 and finite")
             out.append(vals)
-        o0, o = float(self.vote.omega0), float(self.vote.omega)
         for g, d in zip(*out):
-            terms = {"gamma": g, "omega0": o0, "omega": o, "delta": d}
+            terms = {"gamma": g, "omega0": self.vote.omega0, "omega": self.vote.omega, "delta": d}
             if not math.isfinite(_noise_top(**terms)):
                 big = [k for k, v in terms.items() if v > 1.0]
                 bad = [k for k in big if math.isfinite(_noise_top(**{**terms, k: 1.0}))] or big

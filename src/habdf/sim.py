@@ -13,13 +13,13 @@ use case steers a pan/tilt camera with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ContractViolationError, InsufficientDetectorsError
+from .errors import ContractViolationError
 from .fusion import FusionConfig, make_pipeline
 from .kalman import build_cv_model
 
@@ -128,8 +128,7 @@ class FaultProfile:
     reading[t] = clean[t] + N(0, noise_sigma) + spike_mag * Bernoulli(spike_prob)
                  + drift_rate * t + shock_offset * [shock_start <= t < shock_end]
 
-    The all-zero profile is the identity. ``seed`` feeds this sensor's private
-    RNG stream; draw order is noise first, then spikes.
+    The all-zero profile is the identity.
     """
 
     noise_sigma: float = 0.0
@@ -138,7 +137,6 @@ class FaultProfile:
     drift_rate: float = 0.0
     shock_offset: float = 0.0
     shock_window: tuple[int, int] = (0, 0)
-    seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
@@ -153,19 +151,20 @@ class FaultProfile:
             raise ContractViolationError(
                 f"shock_window must be ordered integers, got {self.shock_window}"
             )
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ContractViolationError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
-def inject_faults(clean, profile: FaultProfile) -> np.ndarray:
-    """Apply the fault recipe to a clean signal; the input is never mutated."""
+def inject_faults(clean, profile: FaultProfile, seed: int = 0) -> np.ndarray:
+    """Apply the fault recipe to a clean signal, drawing noise and then spikes
+    from the RNG stream ``seed``; the input is never mutated."""
+    if int(seed) != seed or seed < 0:
+        raise ContractViolationError(f"seed must be a nonnegative integer, got {seed}")
     x = np.asarray(clean, dtype=float)
     if x.ndim != 1:
         raise ContractViolationError(f"clean signal must be 1-D, got ndim={x.ndim}")
     if not np.isfinite(x).all():
         raise ContractViolationError("clean signal contains non-finite entries")
     t = np.arange(x.shape[0])
-    rng = np.random.default_rng(int(profile.seed))
+    rng = np.random.default_rng(int(seed))
     y = x + rng.normal(0.0, profile.noise_sigma, x.shape[0])
     y = y + profile.spike_mag * (rng.random(x.shape[0]) < profile.spike_prob)
     y = y + profile.drift_rate * t
@@ -329,20 +328,14 @@ def _pipeline(scenario: SimScenario):
     return make_pipeline(n, models, scenario.fusion, scenario.init_var)
 
 
-def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimResult:
-    """Run the bench end to end; ``seed`` overrides the scenario's.
+def run_sim_experiment(scenario: SimScenario) -> SimResult:
+    """Run the bench end to end from the scenario's seed.
 
-    Per-sensor RNG streams are spawned from the run seed, so results are
+    Per-sensor RNG streams are spawned from ``scenario.seed``, so results are
     bit-identical for a fixed seed regardless of sensor evaluation order.
     """
+    pipe = _pipeline(scenario)  # first: it refuses fewer than 3 sensors before any plant work
     n = len(scenario.faults)
-    if n < 3:
-        raise InsufficientDetectorsError(
-            f"the bench needs at least 3 sensors, got {n}"
-        )
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)  # the scenario's seed check
-    run_seed = scenario.seed if seed is None else int(seed)
 
     sp = setpoint_profile(
         scenario.setpoint_kind, scenario.frames, scenario.setpoint_amplitude,
@@ -351,13 +344,8 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
     x0 = steady_state(scenario.plant, sp[0]) if scenario.start_at_steady else None
     truth = run_plant(scenario.plant, sp, x0)
 
-    profiles = [
-        replace(prof, seed=s)
-        for prof, s in zip(scenario.faults, _sensor_seeds(run_seed, n))
-    ]
-    sensors = np.stack([inject_faults(truth, p) for p in profiles])
-
-    pipe = _pipeline(scenario)
+    seeds = _sensor_seeds(scenario.seed, n)
+    sensors = np.stack([inject_faults(truth, p, s) for p, s in zip(scenario.faults, seeds)])
 
     T = scenario.frames
     experts, w_m, w_d, rvv = np.empty((4, n, T))
@@ -371,5 +359,5 @@ def run_sim_experiment(scenario: SimScenario, seed: int | None = None) -> SimRes
 
     return SimResult(
         frame=np.arange(T), truth=truth, sensors=sensors, experts=experts,
-        w_m=w_m, w_d=w_d, rvv=rvv, fused=fused, fused_var=fused_var, seed=run_seed,
+        w_m=w_m, w_d=w_d, rvv=rvv, fused=fused, fused_var=fused_var, seed=scenario.seed,
     )

@@ -97,7 +97,8 @@ def _nearest_peer(boxes, i: int) -> float:
 
 @dataclass(frozen=True)
 class VoteConfig:
-    """Vote-penalty shape: floor omega0, half-range omega, onset distance lam."""
+    """Vote-penalty shape: floor omega0, half-range omega, onset distance lam,
+    each stored as a Python float, so the penalty is computed in float64."""
 
     omega0: float = 1.0
     omega: float = 1.0
@@ -108,7 +109,8 @@ class VoteConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ContractViolationError(f"{name} must be >= 0 and finite, got {v}")
-        if not math.isfinite(float(self.omega0) + 2.0 * float(self.omega)):
+            object.__setattr__(self, name, float(v))
+        if not math.isfinite(self.omega0 + 2.0 * self.omega):
             raise ContractViolationError(
                 f"omega overflows the largest vote penalty omega0 + 2 * omega, got {self.omega}")
 
@@ -122,6 +124,5 @@ def vote_weight(min_d: float, config: VoteConfig | None = None) -> float:
     cfg = config or VoteConfig()
     if math.isnan(min_d) or min_d < 0:
         raise ContractViolationError(f"min_d must be >= 0, got {min_d}")
-    # np.tanh, not math.tanh, whose last bit differs on some inputs; the rest
-    # on Python floats, so a float32 or int setting still sums in float64.
-    return float(cfg.omega0) + float(cfg.omega) * (1.0 + float(np.tanh(min_d - cfg.lam)))
+    # np.tanh, not math.tanh, whose last bit differs on some inputs.
+    return cfg.omega0 + cfg.omega * (1.0 + float(np.tanh(min_d - cfg.lam)))

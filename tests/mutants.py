@@ -57,9 +57,12 @@ MUTANTS = [
      "    w = 1.0 / (1.0 + math.exp(xi - md))\n", "local-weight-without-overflow-guard"),
     ("experts.py", "r.s * _eye(len(r.predicted_meas))", "r.s * r.s * _eye(len(r.predicted_meas))",
      "lazy-innovation-cov-s-squared"),
-    # Settings refused where they are made, and the per-detector gain lists.
-    ("voting.py", "if not math.isfinite(float(self.omega0) + 2.0 * float(self.omega)):",
+    # Settings refused, or stored as Python floats, where they are made, and the
+    # per-detector gain lists.
+    ("voting.py", "if not math.isfinite(self.omega0 + 2.0 * self.omega):",
      "if False:", "vote-config-without-overflow-bound"),
+    ("voting.py", "object.__setattr__(self, name, float(v))", "pass",
+     "vote-weight-in-setting-precision"),
     ("fusion.py", "if not math.isfinite(_noise_top(**terms)):", "if False:",
      "gains-without-overflow-bound"),
     ("fusion.py", "out.append(vals)", "out.append(vals[::-1])", "gain-list-reversed"),
@@ -73,8 +76,9 @@ MUTANTS = [
      "expert-aliases-reading"),
     ("fusion.py", "bad = [k for k in big if math.isfinite(_noise_top(**{**terms, k: 1.0}))] or big",
      "bad = [\"gamma\"]", "overflow-blames-gamma-alone"),
-    ("voting.py", "float(cfg.omega0) + float(cfg.omega) *", "cfg.omega0 + cfg.omega *",
-     "vote-weight-in-setting-precision"),
+    # A reading numpy cannot convert is refused, not passed on as numpy's error.
+    ("experts.py", 'raise ContractViolationError(f"reading is not numeric: {exc}") from exc',
+     "raise", "reading-refusal-dropped"),
 ]
 
 

@@ -625,6 +625,38 @@ class TestAtomicStep:
             for name in ("w_d", "w_M", "rvv_scale"):
                 assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
 
+    @pytest.mark.parametrize("started", [3, 0], ids=["started", "unstarted"])
+    @pytest.mark.parametrize("bad", ["abcd", [1, [2, 3], 3, 4]], ids=["text", "ragged"])
+    def test_malformed_reading_is_refused_unchanged(self, bad, started):
+        model = build_track_model(meas_var=9.0)
+        pipe, twin = make_pipeline(3, model), make_pipeline(3, model)
+        good = self.frames(started + 2)
+        for boxes in good[:started]:
+            pipe.step(boxes)
+            twin.step(boxes)
+        before = [(e.state, e.last_meas, e.misses, e.frame) for e in pipe.experts]
+        center = (pipe.center.state, pipe.center.frame)
+
+        faulty = list(good[started])
+        faulty[1] = bad
+        with pytest.raises(HabdfError, match="reading is not numeric"):
+            pipe.step(faulty)
+
+        for e, (state, last_meas, misses, frame) in zip(pipe.experts, before):
+            assert e.state is state and e.last_meas is last_meas
+            assert (e.misses, e.frame) == (misses, frame)
+        assert pipe.center.state is center[0] and pipe.center.frame == center[1] == started - 1
+        for boxes in good[started:]:
+            got, want = pipe.step(boxes), twin.step(boxes)
+            assert got.frame == want.frame
+            assert np.array_equal(got.state.mean, want.state.mean)
+            assert np.array_equal(got.state.cov, want.state.cov)
+            for name in ("w_d", "w_M", "rvv_scale"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+            for a, b in zip(pipe.experts, twin.experts):
+                assert np.array_equal(a.state.mean, b.state.mean)
+                assert np.array_equal(a.state.cov, b.state.cov)
+
     def test_failed_first_frame_leaves_pipeline_unstarted(self):
         pipe = make_pipeline(3, build_track_model())
         boxes = self.frames(1)[0]

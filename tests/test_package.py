@@ -1,12 +1,15 @@
 """The public surface: each module's ``__all__`` is its API, and ``habdf``
 re-exports all of it except ``records``, which exports four names."""
 
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
 
 import habdf
+from habdf import sim
 
 MODULE_API = {
     "errors": {"HabdfError", "ContractViolationError", "DegenerateGeometryError",
@@ -66,3 +69,11 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "False\n"
+
+
+def test_the_bench_seed_has_one_owner():
+    # SimScenario.seed is the bench's seed; inject_faults takes one stream's seed.
+    assert list(inspect.signature(sim.run_sim_experiment).parameters) == ["scenario"]
+    assert list(inspect.signature(sim.inject_faults).parameters) == ["clean", "profile", "seed"]
+    assert "seed" not in {f.name for f in dataclasses.fields(sim.FaultProfile)}
+    assert "seed" in {f.name for f in dataclasses.fields(sim.SimScenario)}

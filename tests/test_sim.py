@@ -127,26 +127,26 @@ class TestInjectFaults:
 
     def test_spike_count_concentrates(self):
         clean = np.zeros(10_000)
-        out = inject_faults(clean, FaultProfile(spike_prob=0.05, spike_mag=60.0, seed=11))
+        out = inject_faults(clean, FaultProfile(spike_prob=0.05, spike_mag=60.0), 11)
         count = int(np.sum(out != 0.0))
         assert 400 <= count <= 600
 
     def test_noise_statistics(self):
         clean = np.zeros(100_000)
-        out = inject_faults(clean, FaultProfile(noise_sigma=2.0, seed=5))
+        out = inject_faults(clean, FaultProfile(noise_sigma=2.0), 5)
         assert abs(out.mean()) < 0.05
         assert abs(out.std() / 2.0 - 1.0) < 0.05
 
     def test_deterministic_given_seed(self):
         clean = np.linspace(0, 5, 300)
-        prof = FaultProfile(noise_sigma=1.0, spike_prob=0.1, spike_mag=9.0, seed=3)
-        a = inject_faults(clean, prof)
-        b = inject_faults(clean, prof)
+        prof = FaultProfile(noise_sigma=1.0, spike_prob=0.1, spike_mag=9.0)
+        a = inject_faults(clean, prof, 3)
+        b = inject_faults(clean, prof, 3)
         assert np.array_equal(a, b)
 
     def test_input_not_mutated(self):
         clean = np.zeros(10)
-        inject_faults(clean, FaultProfile(noise_sigma=1.0, seed=1))
+        inject_faults(clean, FaultProfile(noise_sigma=1.0), 1)
         assert np.array_equal(clean, np.zeros(10))
 
     def test_bad_probability_rejected(self):
@@ -255,14 +255,14 @@ class TestRunSimExperiment:
         with pytest.raises(InsufficientDetectorsError):
             run_sim_experiment(small_scenario(faults=(FaultProfile(), FaultProfile())))
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
-    def test_bad_seed_override_is_refused_before_any_work(self, seed, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 0])
+    def test_short_scenario_is_refused_before_any_work(self, n, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("the run started")
 
         monkeypatch.setattr(sim, "run_plant", no_work)
-        with pytest.raises(ContractViolationError, match="seed must be a nonnegative integer"):
-            run_sim_experiment(small_scenario(), seed=seed)
+        with pytest.raises(InsufficientDetectorsError, match=f"at least 3 detectors, got {n}$"):
+            run_sim_experiment(small_scenario(faults=(FaultProfile(),) * n))
 
     def test_zero_fault_sensors_fuse_at_least_as_well_as_best(self):
         res = run_sim_experiment(small_scenario())
@@ -274,8 +274,8 @@ class TestRunSimExperiment:
             FaultProfile(noise_sigma=1.0, drift_rate=0.05),
             FaultProfile(noise_sigma=1.0, spike_prob=0.05, spike_mag=8.0),
         ))
-        a = run_sim_experiment(sc, seed=123)
-        b = run_sim_experiment(sc, seed=123)
+        a = run_sim_experiment(replace(sc, seed=123))
+        b = run_sim_experiment(replace(sc, seed=123))
         for name in ("truth", "sensors", "experts", "w_m", "w_d", "rvv", "fused", "fused_var"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -285,8 +285,8 @@ class TestRunSimExperiment:
             FaultProfile(noise_sigma=2.0),
             FaultProfile(noise_sigma=2.0),
         ))
-        a = run_sim_experiment(sc, seed=1)
-        b = run_sim_experiment(sc, seed=2)
+        a = run_sim_experiment(replace(sc, seed=1))
+        b = run_sim_experiment(replace(sc, seed=2))
         assert not np.array_equal(a.sensors, b.sensors)
 
     @pytest.mark.parametrize("meas_var", [(4.0, 4.0), (4.0,) * 4])
@@ -317,7 +317,7 @@ class TestRunSimExperiment:
                 vote=VoteConfig(omega0=1.0, omega=500.0, lam=30.0), gamma=10.0, delta=40.0,
             ),
         )
-        res = run_sim_experiment(sc, seed=4)
+        res = run_sim_experiment(replace(sc, seed=4))
         pre = res.rvv[2, 20:100].mean()
         during = res.rvv[2, 100:160].mean()
         assert during >= 5.0 * pre
@@ -341,8 +341,10 @@ class TestRefusals:
                      r"n must be >= 1, got 0", id="setpoint-n"),
         pytest.param(lambda: FaultProfile(spike_mag=np.inf),
                      r"spike_mag must be finite", id="spike-mag"),
-        pytest.param(lambda: FaultProfile(seed=-1),
-                     r"seed must be a nonnegative integer, got -1", id="fault-seed"),
+        pytest.param(lambda: inject_faults([0.0], FaultProfile(), -1),
+                     r"seed must be a nonnegative integer, got -1", id="inject-seed-negative"),
+        pytest.param(lambda: inject_faults([0.0], FaultProfile(), 1.5),
+                     r"seed must be a nonnegative integer, got 1.5", id="inject-seed-fraction"),
         pytest.param(lambda: inject_faults(np.zeros((2, 2)), FaultProfile()),
                      r"clean signal must be 1-D, got ndim=2", id="clean-not-1d"),
         pytest.param(lambda: inject_faults([0.0, np.nan], FaultProfile()),

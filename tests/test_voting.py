@@ -148,14 +148,24 @@ class TestVoteWeight:
         # An infinite distance saturates at the top of the range.
         assert vote_weight(num(np.inf), cfg) == 5.0
 
-    @pytest.mark.parametrize("omega0, omega", [(1, 3), (np.float32(1.1), np.float32(3.3)),
-                                               (np.float64(1.1), np.float64(3.3))])
-    def test_returns_the_float64_formula_as_a_python_float(self, omega0, omega):
-        cfg = VoteConfig(omega0=omega0, omega=omega, lam=50.0)
+    @pytest.mark.parametrize("omega0, omega, lam", [
+        (1, 3, 50.0), (np.float32(1.1), np.float32(3.3), 50.0),
+        (np.float64(1.1), np.float64(3.3), 50.0), (1.0, 1.0, np.float32(50.3)),
+        (1.0, 1.0, 50), (1.0, 1.0, np.float64(50.3)),
+    ])
+    def test_returns_the_float64_formula_as_a_python_float(self, omega0, omega, lam):
+        cfg = VoteConfig(omega0=omega0, omega=omega, lam=lam)
         for min_d in (0.0, 37.2, 50.0, 61.5, np.inf):
-            want = np.float64(omega0) + np.float64(omega) * (1.0 + np.tanh(min_d - 50.0))
+            want = np.float64(omega0) + np.float64(omega) * (1.0 + np.tanh(min_d - np.float64(lam)))
             got = vote_weight(min_d, cfg)
             assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("num", [int, np.float32, np.float64, float])
+    def test_settings_are_stored_as_python_floats(self, num):
+        cfg = VoteConfig(omega0=num(1), omega=num(3), lam=num(50))
+        for name in ("omega0", "omega", "lam"):
+            assert type(getattr(cfg, name)) is float, name
+        assert (cfg.omega0, cfg.omega, cfg.lam) == (1.0, 3.0, 50.0)
 
     @pytest.mark.parametrize("omega0, omega", [(1.0, 9e307), (1.7e308, 1e307), (0.0, 1e308)])
     def test_config_whose_top_penalty_overflows_is_refused(self, omega0, omega):
