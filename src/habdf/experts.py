@@ -20,8 +20,10 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaincinv
 
 from .errors import ContractViolationError
-from .kalman import (GaussianState, LinearModel, _BlockState, _cholesky, _cv_predict,
-                     _cv_update, _eye, _innovation_cov, _trusted, kf_predict, kf_update)
+# Experts never call kf_update; the name stays bound here because
+# perfbench/tests/test_bench.py::TestTracer asserts that habdf.experts.kf_update is patched.
+from .kalman import (GaussianState, LinearModel, _BlockState, _cholesky, _cv_block_of,
+                     _cv_predict, _cv_update, _eye, _trusted, kf_update)
 
 __all__ = [
     "mahalanobis",
@@ -156,6 +158,9 @@ class ExpertReport:
     frame: int
 
     def __post_init__(self):
+        if not isinstance(self.posterior, _BlockState):
+            raise ContractViolationError("reports come from Expert.step, whose posterior is a "
+                                         f"block state, got a {type(self.posterior).__name__}")
         if not (self.md >= 0 and math.isfinite(self.md)):
             raise ContractViolationError(f"md must be finite and >= 0, got {self.md}")
         if not (0.0 < self.w_M < 1.0):
@@ -172,8 +177,9 @@ class _BlockReport(ExpertReport):
 class Expert:
     """Kalman filter plus reliability scorer for a single sensor.
 
-    The expert initializes lazily from the first measurement it sees
-    (measured slots copied in, velocities zero, covariance ``init_var`` I).
+    The model must come from ``build_cv_model``. The expert initializes
+    lazily from the first measurement it sees (measured slots copied in,
+    velocities zero, covariance ``init_var`` I).
     While the sensor reports nothing, ``step(None)`` coasts on the prediction
     and scores the LAST seen measurement against the current predicted
     distribution, so the penalty of a stale sensor grows as the world moves
@@ -183,13 +189,14 @@ class Expert:
 
     def __init__(self, model: LinearModel, config: ExpertConfig | None = None,
                  init_var: float = 1e4, stale_after: int | None = None):
+        self._block = _cv_block_of(model)
         if not (np.isfinite(init_var) and init_var > 0):
             raise ContractViolationError(f"init_var must be positive, got {init_var}")
         if stale_after is not None and stale_after < 1:
             raise ContractViolationError(f"stale_after must be >= 1, got {stale_after}")
         self.model = model
         self.config = config or ExpertConfig()
-        self.init_cov = init_var * np.eye(model.state_dim)
+        self.init_var = float(init_var)
         self.stale_after = stale_after
         self.state: GaussianState | None = None
         self.last_meas: np.ndarray | None = None
@@ -203,24 +210,23 @@ class Expert:
         returns a report, coasting included. A step that raises leaves the
         expert exactly as it was.
 
-        A model from ``build_cv_model`` is filtered on its 2x2 axis block in
-        closed form: the innovation covariance is ``s I_k``, so
-        ``md = |y - mu| / sqrt(s)``. Every other model runs kf_predict, scores
-        with mahalanobis and updates with kf_update.
+        The expert filters the model's 2x2 axis block in closed form, from
+        and to block states: the innovation covariance is ``s I_k``, so
+        ``md = |y - mu| / sqrt(s)``, and the report holds ``s``.
         """
         frame = self.frame + 1
-        state, model = self.state, self.model
+        state, b = self.state, self._block
         if y is not None:
             try:
                 y = np.array(y, dtype=float)  # the expert's own copy, kept as last_meas
             except (TypeError, ValueError) as exc:  # text, a ragged nesting, an object
                 raise ContractViolationError(f"reading is not numeric: {exc}") from exc
             if state is None:
-                if y.shape != (model.meas_dim,):
+                if y.shape != (b.k,):
                     raise ContractViolationError(f"y and mu must be matching vectors, "
-                                                 f"got {y.shape} and {(model.meas_dim,)}")
+                                                 f"got {y.shape} and {(b.k,)}")
                 # Measured slots filled, rates zero.
-                state = self._reopen(model.C.T @ y)
+                state = self._reopen(self.model.C.T @ y)
             elif self.stale_after is not None and self.misses >= self.stale_after:
                 # Reacquisition after a long gap: belief is void, keep the mean
                 # but reopen the covariance so the fresh measurement dominates.
@@ -229,42 +235,26 @@ class Expert:
             self.frame = frame
             return None
 
-        scored, b = (self.last_meas if y is None else y), model._cv_block
-        if b is None:
-            posterior, mu, S, md = self._filter(state, scored, y)
-        else:
-            # The same frame on the axis block, in closed form, from and to
-            # block states; s stands in for S = s I_k.
-            mu, m1, P, s = _cv_predict(b, state)
-            r, rr = _residual(scored, mu)
-            md = math.sqrt(rr / s)
-            posterior = _BlockState(*((mu, m1, P) if y is None else _cv_update(b, mu, m1, P, s, r)))
+        mu, m1, P, s = _cv_predict(b, state)
+        r, rr = _residual(self.last_meas if y is None else y, mu)
+        md = math.sqrt(rr / s)
+        posterior = _BlockState(*((mu, m1, P) if y is None else _cv_update(b, mu, m1, P, s, r)))
         w = local_weight(md, self.config.xi)
         if not math.isfinite(md):
             raise ContractViolationError(f"md must be finite and >= 0, got {md}")
         last_meas, misses = (self.last_meas, self.misses + 1) if y is None else (y, 0)
-        # The expert's own values, checked above; a block report holds s.
-        if b is None:
-            report = _trusted(ExpertReport, posterior=posterior, predicted_meas=mu,
-                              innovation_cov=S, md=md, w_M=w, frame=frame)
-        else:
-            report = _trusted(_BlockReport, posterior=posterior, predicted_meas=mu, s=s, md=md,
-                              w_M=w, frame=frame)
+        # The expert's own values, checked above.
+        report = _trusted(_BlockReport, posterior=posterior, predicted_meas=mu, s=s, md=md,
+                          w_M=w, frame=frame)
         self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame
         return report
 
-    def _reopen(self, mean: np.ndarray) -> GaussianState:
-        """``mean`` and ``init_cov`` as a checked state; a block state on a CV model."""
-        b, v = self.model._cv_block, self.init_cov.item(0)
-        state = GaussianState(mean, self.init_cov)
-        return state if b is None else _BlockState(mean[:b.k], mean[b.k:], (v, 0.0, v))
-
-    def _filter(self, state, scored, y):
-        """General path: predict, score ``scored``, update on ``y`` if given.
-        Returns ``(posterior, mu, S, md)``."""
-        model = self.model
-        pred = kf_predict(state, model)
-        mu = model.C @ pred.mean
-        S = _innovation_cov(model, pred.cov)[0]
-        md = mahalanobis(scored, mu, S)
-        return (pred if y is None else kf_update(pred, model, y)[0]), mu, S, md
+    def _reopen(self, mean: np.ndarray) -> _BlockState:
+        """A block state at ``mean`` with covariance ``init_var`` I, refused
+        as GaussianState refuses that mean and covariance."""
+        if not np.isfinite(mean).all():
+            raise ContractViolationError("mean contains non-finite entries")
+        v, k = self.init_var, self._block.k
+        if not math.isfinite(v + v):  # GaussianState symmetrizes as 0.5 * (P + P^T)
+            raise ContractViolationError("cov overflows when symmetrized")
+        return _BlockState(mean[:k], mean[k:], (v, 0.0, v))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractViolationError, InsufficientDetectorsError
 from .experts import Expert, ExpertConfig
-from .kalman import GaussianState, LinearModel, _BlockState, _trusted, kf_predict, kf_update
+from .kalman import GaussianState, LinearModel, _cv_block_of, _trusted, kf_predict, kf_update
 from .voting import VoteConfig, _nearest_peer, vote_weight
 
 __all__ = [
@@ -124,9 +124,10 @@ class FusedEstimate:
 class FusionCenter:
     """Stacked-measurement Kalman filter with per-detector adaptive noise.
 
-    ``model`` describes a single detector; the center shares its dynamics and
-    stacks one copy of its measurement block per present detector. Absent
-    detectors contribute no measurement rows. With none present the center
+    ``model``, from ``build_cv_model``, describes a single detector; the
+    center shares its dynamics and stacks one copy of its measurement block
+    per present detector, measuring the positions ``m0`` of that detector's
+    expert posterior. Absent detectors contribute no measurement rows. With none present the center
     coasts on its prediction and flags the estimate.
     """
 
@@ -138,6 +139,7 @@ class FusionCenter:
             )
         if not (np.isfinite(init_var) and init_var > 0):
             raise ContractViolationError(f"init_var must be positive, got {init_var}")
+        _cv_block_of(model)
         self.model = model
         self.n_detectors = n_detectors
         self.config = config or FusionConfig()
@@ -154,10 +156,10 @@ class FusionCenter:
 
         reports: per-detector ExpertReport or None, aligned with
         measurements (the raw per-detector readings or None). Voting runs on
-        the raw readings; the stacked measurement vector carries the experts'
-        positional estimates. Returns None until the first frame with any
-        detector present. A step that raises leaves the center exactly as it
-        was.
+        the raw readings, and a reading numpy cannot convert is refused; the
+        stacked measurement vector carries the experts' positions. Returns
+        None until the first frame with any detector present. A step that
+        raises leaves the center exactly as it was.
         """
         frame = self.frame + 1
         n = self.n_detectors
@@ -168,18 +170,20 @@ class FusionCenter:
             )
         model, gamma, delta, vote, floor = (self.model, self.gamma, self.delta,
                                             self.config.vote, self.config.cov_floor)
-        C, cv, p = model.C, model._cv_block is not None, model.C.shape[0]
+        C, p = model.C, model.C.shape[0]
         # One pass: every w_M, and each present detector's index, raw reading
-        # (the vote's input) and positions (the stacked measurement). A block
-        # state's m0 is C @ mean when C = [I_k 0]; any other posterior is projected.
+        # (the vote's input) and positions (the stacked measurement): a block
+        # state's m0, which is C @ mean for C = [I_k 0].
         present, vecs, parts, w_m = [], [], [], []
-        for i, (r, y) in enumerate(zip(reports, measurements)):
-            w_m.append(math.nan if r is None else r.w_M)
-            if y is not None and r is not None:
-                x = r.posterior
-                present.append(i)
-                vecs.append(np.asarray(y, dtype=float))
-                parts.append(x.m0 if cv and type(x) is _BlockState else C @ x.mean)
+        try:
+            for i, (r, y) in enumerate(zip(reports, measurements)):
+                w_m.append(math.nan if r is None else r.w_M)
+                if y is not None and r is not None:
+                    present.append(i)
+                    vecs.append(np.asarray(y, dtype=float))
+                    parts.append(r.posterior.m0)
+        except (TypeError, ValueError) as exc:  # text, a ragged nesting, an object
+            raise ContractViolationError(f"reading is not numeric: {exc}") from exc
 
         w_d, scale, rvv = [math.nan] * n, [math.nan] * n, []
         for k, i in enumerate(present):
@@ -260,8 +264,8 @@ def make_pipeline(n_detectors: int, model, config: FusionConfig | None = None,
                   init_var: float = 1e4) -> Pipeline:
     """Build a bank of ``n_detectors`` experts plus the fusion center.
 
-    ``model`` is one LinearModel shared by every detector, or a sequence of
-    per-detector models agreeing on dimensions.
+    ``model`` is one ``build_cv_model`` model shared by every detector, or a
+    sequence of per-detector ones agreeing on dimensions.
     """
     if isinstance(model, LinearModel):
         models = [model] * n_detectors

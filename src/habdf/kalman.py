@@ -107,7 +107,7 @@ class LinearModel:
     Rww: np.ndarray
     Rvv: np.ndarray
 
-    # The per-axis block of a build_cv_model model; None for every other model.
+    # The per-axis block of a build_cv_model model; None, which experts refuse, otherwise.
     _cv_block = None
 
     def __post_init__(self):
@@ -199,13 +199,6 @@ def kf_predict(state: GaussianState, model: LinearModel, control=None) -> Gaussi
     return _trusted(GaussianState, mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def _innovation_cov(model: LinearModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrised innovation covariance C P C^T + Rvv, and the C P it forms."""
-    CP = model.C @ P
-    S = CP @ model.C.T + model.Rvv
-    return 0.5 * (S + S.T), CP
-
-
 @lru_cache(maxsize=None)
 def _eye(n: int) -> np.ndarray:
     """Read-only n x n identity, built once per state dimension."""
@@ -234,7 +227,9 @@ def kf_update(state: GaussianState, model: LinearModel, y):
     if not math.isfinite(sum(y.tolist())) and not np.isfinite(y).all():
         raise ContractViolationError("measurement contains non-finite entries")
 
-    S, CP = _innovation_cov(model, P)
+    CP = C @ P
+    S = CP @ C.T + model.Rvv
+    S = 0.5 * (S + S.T)
     innovation = y - C @ mean
     # LAPACK posv: potrf then potrs in one call, without the checks of
     # cho_factor and cho_solve, which cost more; the factor is checked as in
@@ -262,6 +257,14 @@ class _CVBlock(NamedTuple):
     q11: float
     r: float
     k: int
+
+
+def _cv_block_of(model) -> _CVBlock:
+    """``model``'s axis block, which experts and the fusion centre filter."""
+    if (b := getattr(model, "_cv_block", None)) is None:
+        raise ContractViolationError("experts and the fusion centre filter build_cv_model "
+                                     f"models only, got a {type(model).__name__} without one")
+    return b
 
 
 def _cv_predict(b: _CVBlock, state: _BlockState):

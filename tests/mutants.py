@@ -6,7 +6,10 @@
 Each mutant replaces one exact text, which must occur once, in one file of
 ``src/habdf``. The runner copies ``src/habdf`` into a temporary directory,
 applies the mutant to the copy (never to the checkout) and runs tier-1
-against the copy with ``-x``. A mutant that tier-1 passes has survived. The
+against the copy with ``-x`` and no hypothesis example database
+(``tests/conftest.py``'s ``no-database`` profile), so a mutant is decided as
+a fresh checkout decides it, not by examples an earlier local run saved in
+``.hypothesis/``. A mutant that tier-1 passes has survived. The
 runner prints the test that killed each mutant and exits 1 if any mutant
 survived or no longer applies. The file is not named ``test_*.py``, so pytest
 does not collect it; each mutant costs up to one tier-1 run.
@@ -29,7 +32,7 @@ MUTANTS = [
      "swapped-gamma-delta"),
     ("fusion.py", "return float(max(gamma * w_d + delta * w_M, cov_floor))",
      "return float(gamma * w_d + delta * w_M)", "no-floor"),
-    ("fusion.py", "vecs.append(np.asarray(y, dtype=float))", "vecs.append(C @ x.mean)",
+    ("fusion.py", "vecs.append(np.asarray(y, dtype=float))", "vecs.append(C @ r.posterior.mean)",
      "vote-on-expert-means"),
     ("experts.py", "self.misses >= self.stale_after:",
      "self.misses >= self.stale_after + 10**9:", "no-stale-reset"),
@@ -45,7 +48,7 @@ MUTANTS = [
     # Block states: the expert's lazily built covariance and the centre's positions.
     ("kalman.py", "np.array((0.0, *s.P))", "np.array((0.0, s.P[0], s.P[2], s.P[1]))",
      "block-cov-p01-p11-swapped"),
-    ("fusion.py", "x.m0 if cv and type(x) is _BlockState", "x.m1 if cv and type(x) is _BlockState",
+    ("fusion.py", "parts.append(r.posterior.m0)", "parts.append(r.posterior.m1)",
      "centre-fuses-rates"),
     # Scalar guards on Python floats, and the report's lazily built S.
     ("kalman.py", "ratio * ratio <= cond_limit and math.isfinite(sum(d))",
@@ -79,6 +82,15 @@ MUTANTS = [
     # A reading numpy cannot convert is refused, not passed on as numpy's error.
     ("experts.py", 'raise ContractViolationError(f"reading is not numeric: {exc}") from exc',
      "raise", "reading-refusal-dropped"),
+    ("fusion.py", "except (TypeError, ValueError) as exc:", "except ZeroDivisionError as exc:",
+     "centre-reading-refusal-dropped"),
+    # One filter core: every model without an axis block, and every report
+    # whose posterior is not a block state, is refused where it enters.
+    ("experts.py", "self._block = _cv_block_of(model)", "self._block = model._cv_block",
+     "expert-accepts-general-model"),
+    ("fusion.py", "        _cv_block_of(model)\n", "", "centre-accepts-general-model"),
+    ("experts.py", "if not isinstance(self.posterior, _BlockState):", "if False:",
+     "report-accepts-plain-posterior"),
 ]
 
 
@@ -100,7 +112,7 @@ def run(mutant) -> tuple[bool, str]:
             return False, f"habdf imports from {where or 'nowhere'}, not the mutated copy"
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"],
+             "--hypothesis-profile=no-database", "--continue-on-collection-errors"],
             cwd=ROOT, env=env, capture_output=True, text=True)
     if proc.returncode == 0:
         return False, "tier-1 passed"

@@ -36,6 +36,7 @@ from habdf import (
     vote_weight,
 )
 from habdf.cli import main
+from habdf.kalman import _BlockState
 from habdf.records import TrackRecord, load_config, read_csv_dicts, scenario_from_config, write_csv, write_track_csv
 from habdf.sim import run_sim_experiment
 
@@ -171,10 +172,10 @@ def test_criterion_3_planted_outlier_always_gets_largest_vote_weight():
 
 
 def _report(model, box, w_M, md=0.5, frame=0):
-    mean = model.C.T @ np.asarray(box, dtype=float)
+    box = np.asarray(box, dtype=float)
     return ExpertReport(
-        posterior=GaussianState(mean, np.eye(model.A.shape[0])),
-        predicted_meas=np.asarray(box, dtype=float),
+        posterior=_BlockState(box, np.zeros_like(box), (1.0, 0.0, 1.0)),
+        predicted_meas=box,
         innovation_cov=np.eye(model.C.shape[0]),
         md=md,
         w_M=w_M,

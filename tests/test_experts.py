@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -226,22 +227,30 @@ class TestChi2Xi:
 
 
 class TestExpertReportContract:
+    STATE = _BlockState(np.zeros(1), np.zeros(1), (1.0, 0.0, 1.0))
+
     def test_rejects_out_of_range_weight(self):
-        state = GaussianState([0.0], [[1.0]])
         for bad in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(ContractViolationError):
-                ExpertReport(state, np.zeros(1), np.eye(1), 0.0, bad, 0)
+            with pytest.raises(ContractViolationError, match="w_M must lie in"):
+                ExpertReport(self.STATE, np.zeros(1), np.eye(1), 0.0, bad, 0)
 
     def test_rejects_negative_md(self):
-        state = GaussianState([0.0], [[1.0]])
-        with pytest.raises(ContractViolationError):
-            ExpertReport(state, np.zeros(1), np.eye(1), -1.0, 0.5, 0)
+        with pytest.raises(ContractViolationError, match="md must be finite and >= 0"):
+            ExpertReport(self.STATE, np.zeros(1), np.eye(1), -1.0, 0.5, 0)
 
     @pytest.mark.parametrize("md", [np.inf, np.nan])
     def test_rejects_nonfinite_md(self, md):
-        state = GaussianState([0.0], [[1.0]])
         with pytest.raises(ContractViolationError, match="md must be finite and >= 0"):
-            ExpertReport(state, np.zeros(1), np.eye(1), md, 0.5, 0)
+            ExpertReport(self.STATE, np.zeros(1), np.eye(1), md, 0.5, 0)
+
+    def test_rejects_a_plain_posterior_naming_expert_step(self):
+        # The fusion centre reads a posterior's positions m0, which only the
+        # block state an expert keeps carries.
+        state = GaussianState(self.STATE.mean, self.STATE.cov)
+        with pytest.raises(ContractViolationError,
+                           match="reports come from Expert.step, .* got a GaussianState"):
+            ExpertReport(state, np.zeros(1), np.eye(1), 0.0, 0.5, 0)
+        assert ExpertReport(self.STATE, np.zeros(1), np.eye(1), 0.0, 0.5, 0).posterior is self.STATE
 
 
 class TestBlockStateReports:
@@ -255,8 +264,6 @@ class TestBlockStateReports:
             rep = exp.step(y)
             assert type(rep) is _BlockReport and type(rep.posterior) is _BlockState
             assert exp.state is rep.posterior
-        rep = Expert(plain(model)).step([1.0, 2.0])
-        assert type(rep) is ExpertReport and type(rep.posterior) is GaussianState
 
     def test_report_survives_deepcopy_and_pickle(self):
         exp = Expert(build_track_model())
@@ -288,12 +295,21 @@ class TestBlockStateReports:
         plain_rep = ExpertReport(rep.posterior, rep.predicted_meas, want, rep.md, rep.w_M, 2)
         assert plain_rep.innovation_cov is want
 
-    @pytest.mark.parametrize("general", [False, True])
-    def test_nonfinite_first_reading_is_refused_as_before(self, general):
+    @pytest.mark.parametrize("first, init_var", [
+        ([np.nan, 1.0, 2.0, 3.0], 1e4),
+        ([1.0, 1.0, 2.0, 3.0], 1e308),
+        ([np.nan, 1.0, 2.0, 3.0], 1e308),
+    ])
+    def test_bad_first_state_is_refused_as_gaussian_state_refuses_it(self, first, init_var):
+        # The expert builds its first block state without a 2k x 2k matrix;
+        # it refuses exactly what the public GaussianState refuses of the
+        # mean C^T y and covariance init_var I, with the same message.
         model = build_track_model()
-        exp = Expert(plain(model) if general else model)
-        with pytest.raises(ContractViolationError, match="mean contains non-finite entries"):
-            exp.step([np.nan, 1.0, 2.0, 3.0])
+        with pytest.raises(ContractViolationError) as want:
+            GaussianState(model.C.T @ np.array(first), init_var * np.eye(8))
+        exp = Expert(model, init_var=init_var)
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(str(want.value))}$"):
+            exp.step(first)
         assert exp.state is None and exp.frame == -1
 
 
@@ -369,12 +385,10 @@ class TestExpertStep:
 
 
 class TestOwnedReading:
-    @pytest.mark.parametrize("closed_form", [True, False])
-    def test_coast_scores_the_reading_given_not_the_callers_reused_buffer(self, closed_form):
+    def test_coast_scores_the_reading_given_not_the_callers_reused_buffer(self):
         # A caller may fill one buffer per frame. The expert keeps the reading
         # it was given, so overwriting the buffer before a coast changes nothing.
         model = build_cv_model(2, 1.0, 0.5, 1.0)
-        model = model if closed_form else plain(model)
         exp, twin, buf = Expert(model), Expert(model), np.zeros(2)
         readings = ([0.0, 0.0], [1.0, 2.0], [2.0, 4.0])
         for y in readings:
@@ -416,11 +430,9 @@ class TestAtomicExpertStep:
             assert np.array_equal(got.posterior.mean, want.posterior.mean)
             assert np.array_equal(got.posterior.cov, want.posterior.cov)
 
-    @pytest.mark.parametrize("general", [False, True])
     @pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]], 5.0])
-    def test_wrong_length_first_reading_leaves_expert_unstarted(self, bad, general):
-        model = build_track_model()
-        exp = Expert(plain(model) if general else model)
+    def test_wrong_length_first_reading_leaves_expert_unstarted(self, bad):
+        exp = Expert(build_track_model())
         with pytest.raises(ContractViolationError, match="y and mu must be matching vectors"):
             exp.step(bad)
         assert exp.state is None and exp.last_meas is None
@@ -428,94 +440,46 @@ class TestAtomicExpertStep:
         assert exp.step([1.0, 2.0, 3.0, 4.0]).frame == 0
 
 
-def replay_public(model, config, init_var, stale_after, readings):
-    """Expert.step's frame logic written out with the public functions:
-    kf_predict, then mahalanobis, then kf_update, each called on its own.
-    Yields (md, w_M, innovation_cov, predicted state, posterior) per reported
-    frame."""
-    state, last, misses = None, None, 0
-    for y in readings:
-        if state is None:
-            if y is None:
-                yield None
-                continue
-            state = GaussianState(model.C.T @ y, init_var * np.eye(model.state_dim))
-        elif y is not None and misses >= stale_after:
-            state = GaussianState(state.mean, init_var * np.eye(model.state_dim))
-        pred = kf_predict(state, model)
-        mu = model.C @ pred.mean
-        S = model.C @ pred.cov @ model.C.T + model.Rvv
-        S = 0.5 * (S + S.T)
-        scored = last if y is None else y
-        md = mahalanobis(scored, mu, S)
-        if y is None:
-            state, misses = pred, misses + 1
-        else:
-            state, _, S = kf_update(pred, model, y)
-            last, misses = y, 0
-        yield md, local_weight(md, config.xi), S, pred, state
-
-
 def plain(model):
     """The same matrices as a general LinearModel, which carries no axis block."""
     return LinearModel(model.A, model.B, model.C, model.Rww, model.Rvv)
 
 
-class TestOneFactorShortcut:
-    """On a general LinearModel, Expert.step runs kf_predict, mahalanobis and
-    kf_update; its reports equal replay_public's bit for bit, and its
-    posteriors agree with the explicit-inverse oracle."""
-
-    STALE = 3
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        gaps=st.lists(st.integers(0, 2 * STALE), min_size=2, max_size=12),
-        outlier_sigma=st.floats(0.0, 50.0),
-    )
-    def test_reports_equal_public_path_and_naive_oracle(self, seed, gaps, outlier_sigma):
-        model = plain(build_track_model(dt=1.0, accel_var=0.5, meas_var=9.0))
-        config = ExpertConfig()
-        rng = np.random.default_rng(seed)
-        gaps[len(gaps) // 2] = self.STALE + 1  # one gap past stale_after
-        readings = []
-        for gap in gaps:
-            readings += [None] * gap
-            y = np.array([300.0, 200.0, 80.0, 60.0]) + rng.normal(0.0, 3.0, 4)
-            readings.append(y + outlier_sigma * 3.0 * rng.standard_normal(4))
-
-        exp = Expert(model, config, init_var=1e4, stale_after=self.STALE)
-        for y, want in zip(readings, replay_public(model, config, 1e4, self.STALE, readings)):
-            got = exp.step(y)
-            if want is None:
-                assert got is None
-                continue
-            md, w_M, S, pred, post = want
-            assert (got.md, got.w_M) == (md, w_M)
-            assert np.array_equal(got.innovation_cov, S)
-            assert np.array_equal(got.posterior.mean, post.mean)
-            assert np.array_equal(got.posterior.cov, post.cov)
-            if y is not None:
-                mean, cov = oracles.naive_update(pred.mean, pred.cov, model.C, model.Rvv, y)
-                scale = np.abs(cov).max()
-                assert np.allclose(got.posterior.mean, mean, rtol=1e-9, atol=1e-9 * np.abs(mean).max())
-                assert np.allclose(got.posterior.cov, cov, rtol=1e-6, atol=1e-9 * scale)
+def public_step(model, config, init_var, stale_after, expert, y):
+    """One frame of Expert.step written out with the public functions on the
+    general LinearModel ``model``: kf_predict, then mahalanobis, then
+    kf_update, each called on its own, from ``expert``'s state, last reading
+    and miss count. Returns None before the first reading, else (md, w_M, mu,
+    S, predicted state, posterior)."""
+    state = expert.state
+    if state is None:
+        if y is None:
+            return None
+        state = GaussianState(model.C.T @ y, init_var * np.eye(model.state_dim))
+    elif y is not None and expert.misses >= stale_after:
+        state = GaussianState(state.mean, init_var * np.eye(model.state_dim))
+    pred = kf_predict(state, model)
+    mu = model.C @ pred.mean
+    S = model.C @ pred.cov @ model.C.T + model.Rvv
+    S = 0.5 * (S + S.T)
+    md = mahalanobis(expert.last_meas if y is None else y, mu, S)
+    post = pred if y is None else kf_update(pred, model, y)[0]
+    return md, local_weight(md, config.xi), mu, S, pred, post
 
 
 class TestClosedFormStep:
-    """On a build_cv_model model, Expert.step filters the 2x2 axis block in
-    closed form. Each frame it agrees with a twin expert on the same matrices
-    (run as a general LinearModel, so on the public path), started from the
-    closed form's own state, to within stated tolerances: md and w_M within
-    1e-9 relative (md also within 1e-11 absolute, for a reading at the
-    prediction), and means, covariances and innovation covariances within
-    1e-11 of their largest entry. The predicted reading is measured against
-    the largest entry of the predicted state it sums, since that sum can
-    cancel far below its terms. Against the explicit-inverse, non-Joseph oracle,
-    means agree within 1e-11 and covariances within 1e-9 of their largest
-    entry. The twin restarts every frame, so each frame checks one step, not
-    rounding carried over from earlier frames."""
+    """Expert.step filters a build_cv_model model's 2x2 axis block in closed
+    form. Each frame it agrees with public_step on the same matrices as a
+    general LinearModel, started from the closed form's own state, to within
+    stated tolerances: md and w_M within 1e-9 relative (md also within 1e-11
+    absolute, for a reading at the prediction), and means, covariances and
+    innovation covariances within 1e-11 of their largest entry. The predicted
+    reading is measured against the largest entry of the predicted state it
+    sums, since that sum can cancel far below its terms. Against the
+    explicit-inverse, non-Joseph oracle, means agree within 1e-11 and
+    covariances within 1e-9 of their largest entry. The public path restarts
+    every frame, so each frame checks one step, not rounding carried over
+    from earlier frames."""
 
     STALE = 3
 
@@ -551,61 +515,58 @@ class TestClosedFormStep:
             readings.append(y + outlier_sigma * 3.0 * rng.standard_normal(k))
 
         exp = Expert(model, config, init_var=1e4, stale_after=self.STALE)
-        twin = Expert(general, config, init_var=1e4, stale_after=self.STALE)
-        for y in readings:
-            prior, reset = exp.state, y is not None and exp.misses >= self.STALE
-            twin.state, twin.last_meas, twin.misses, twin.frame = (
-                exp.state, exp.last_meas, exp.misses, exp.frame)
-            want, got = twin.step(y), exp.step(y)
+        for frame, y in enumerate(readings):
+            want = public_step(general, config, 1e4, self.STALE, exp, y)
+            got = exp.step(y)
             if want is None:
                 assert got is None
                 continue
-            if prior is None or reset:
-                prior = GaussianState(general.C.T @ y if prior is None else prior.mean,
-                                      1e4 * np.eye(2 * k))
-            pred = kf_predict(prior, general)
-            assert got.frame == want.frame
-            assert got.md == pytest.approx(want.md, rel=1e-9, abs=1e-11)
-            assert got.w_M == pytest.approx(want.w_M, rel=1e-9)
-            assert self.near(got.predicted_meas, want.predicted_meas, 1e-11, pred.mean)
-            assert self.near(got.innovation_cov, want.innovation_cov, 1e-11)
-            assert self.near(got.posterior.mean, want.posterior.mean, 1e-11)
-            assert self.near(got.posterior.cov, want.posterior.cov, 1e-11)
+            md, w_M, mu, S, pred, post = want
+            assert got.frame == frame
+            assert got.md == pytest.approx(md, rel=1e-9, abs=1e-11)
+            assert got.w_M == pytest.approx(w_M, rel=1e-9)
+            assert self.near(got.predicted_meas, mu, 1e-11, pred.mean)
+            assert self.near(got.innovation_cov, S, 1e-11)
+            assert self.near(got.posterior.mean, post.mean, 1e-11)
+            assert self.near(got.posterior.cov, post.cov, 1e-11)
             assert np.array_equal(got.posterior.cov, got.posterior.cov.T)
             if y is not None:
                 mean, cov = oracles.naive_update(pred.mean, pred.cov, general.C, general.Rvv, y)
                 assert self.near(got.posterior.mean, mean, 1e-11)
                 assert self.near(got.posterior.cov, cov, 1e-9)
 
-    def test_cv_model_skips_the_matrix_path(self, monkeypatch):
+    def test_the_expert_calls_no_matrix_function(self, monkeypatch):
         import habdf.experts
+        import habdf.kalman
 
         def refuse(*args):
-            raise AssertionError("kf_predict called")
+            raise AssertionError("matrix path called")
 
-        monkeypatch.setattr(habdf.experts, "kf_predict", refuse)
-        model = build_track_model()
-        exp = Expert(model)
-        for y in ([1.0, 2.0, 3.0, 4.0], None, [1.5, 2.0, 3.0, 4.0]):
-            exp.step(y)
-        with pytest.raises(AssertionError, match="kf_predict called"):
-            Expert(plain(model)).step([1.0, 2.0, 3.0, 4.0])
+        for module, name in ((habdf.kalman, "kf_predict"), (habdf.kalman, "kf_update"),
+                             (habdf.experts, "kf_update"), (habdf.experts, "mahalanobis")):
+            monkeypatch.setattr(module, name, refuse)
+        exp = Expert(build_track_model(), stale_after=1)
+        for y in ([1.0, 2.0, 3.0, 4.0], None, [1.5, 2.0, 3.0, 4.0], [1.6, 2.0, 3.0, 4.0]):
+            assert exp.step(y) is not None
 
     @pytest.mark.parametrize("third", [[3.0], None])
-    def test_collapsed_covariance_raises_degenerate_geometry_on_both_paths(self, third):
+    def test_collapsed_covariance_raises_degenerate_geometry_as_the_public_path(self, third):
         # No process or measurement noise: the covariance collapses to 0 after
-        # two updates, so the third frame's innovation variance is 0.
+        # two updates, so the third frame's innovation variance is 0. The
+        # public path on the same state refuses that frame too.
         model = build_cv_model(1, 1.0, 0.0, 0.0)
-        for m in (model, plain(model)):
-            exp = Expert(m, ExpertConfig(xi=chi2_xi(1, 0.95)))
-            exp.step([1.0])
-            exp.step([2.0])
-            assert not exp.state.cov.any()
-            state, last_meas, misses, frame = exp.state, exp.last_meas, exp.misses, exp.frame
-            with pytest.raises(DegenerateGeometryError):
-                exp.step(third)
-            assert exp.state is state and exp.last_meas is last_meas
-            assert exp.misses == misses and exp.frame == frame
+        config = ExpertConfig(xi=chi2_xi(1, 0.95))
+        exp = Expert(model, config)
+        exp.step([1.0])
+        exp.step([2.0])
+        assert not exp.state.cov.any()
+        with pytest.raises(DegenerateGeometryError):
+            public_step(plain(model), config, 1e4, math.inf, exp, third)
+        state, last_meas, misses, frame = exp.state, exp.last_meas, exp.misses, exp.frame
+        with pytest.raises(DegenerateGeometryError):
+            exp.step(third)
+        assert exp.state is state and exp.last_meas is last_meas
+        assert exp.misses == misses and exp.frame == frame
 
 
 class TestCalibration:

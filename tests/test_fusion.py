@@ -22,23 +22,31 @@ from habdf import (
     HabdfError,
     InsufficientDetectorsError,
     LinearModel,
+    Pipeline,
     VoteConfig,
     adapt_rvv,
     build_track_model,
+    kf_predict,
     kf_update,
     make_pipeline,
 )
 from habdf import fusion
-from habdf.kalman import COND_LIMIT, _BlockState
+from habdf.experts import _BlockReport
+from habdf.kalman import COND_LIMIT, _BlockState, _cholesky
 
 W_HI = float(np.nextafter(1.0, 0.0))
 
 
 def make_report(model, meas, frame=0, w_M=0.1, md=0.5):
     """Hand-built expert report whose posterior sits exactly at ``meas``."""
-    mean = model.C.T @ np.asarray(meas, dtype=float)
-    post = GaussianState(mean, np.eye(model.state_dim))
-    return ExpertReport(post, model.C @ mean, np.eye(model.meas_dim), md, w_M, frame)
+    meas = np.asarray(meas, dtype=float)
+    post = _BlockState(meas, np.zeros_like(meas), (1.0, 0.0, 1.0))
+    return ExpertReport(post, meas, np.eye(model.meas_dim), md, w_M, frame)
+
+
+def plain(model):
+    """The same matrices as a general LinearModel, which carries no axis block."""
+    return LinearModel(model.A, model.B, model.C, model.Rww, model.Rvv)
 
 
 class TestAdaptRvv:
@@ -182,48 +190,81 @@ class TestFusionCenterBasics:
         assert w == pytest.approx(1.0 + 2.0 * (1.0 + np.tanh(-50.0)), abs=1e-12)
 
 
+class TestGeneralModelRefused:
+    """Experts and the centre filter a build_cv_model model's axis block, so
+    every entry point refuses a model without one, naming build_cv_model:
+    even the same matrices as a general LinearModel."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda m: Expert(m), id="expert"),
+        pytest.param(lambda m: FusionCenter(m, 3), id="centre"),
+        pytest.param(lambda m: make_pipeline(3, m), id="make-pipeline"),
+        pytest.param(lambda m: make_pipeline(3, [build_track_model(), m, build_track_model()]),
+                     id="make-pipeline-one-of-three"),
+        pytest.param(lambda m: Pipeline([m] * 3), id="pipeline"),
+    ])
+    def test_plain_copy_of_a_cv_model_is_refused(self, build):
+        model = build_track_model(meas_var=9.0)
+        build(model)
+        with pytest.raises(ContractViolationError, match="build_cv_model"):
+            build(plain(model))
+
+    def test_identity_model_is_refused(self):
+        model = LinearModel(np.eye(4), np.zeros((4, 1)), np.eye(4), np.eye(4), np.eye(4))
+        for build in (Expert, lambda m: FusionCenter(m, 3), lambda m: make_pipeline(3, m)):
+            with pytest.raises(ContractViolationError, match="build_cv_model models only"):
+                build(model)
+
+
 class TestBlockStatePositions:
-    """On a CV model the centre reads a block state's positions m0 directly;
-    they equal C @ posterior.mean, so fusing block-state reports is
-    bit-identical to fusing plain GaussianState reports of the same values,
-    on a CV centre and on a centre whose model carries no block."""
+    """The centre takes each present detector's positions from its report's
+    block state m0. Replayed frame by frame with the public functions on the
+    same matrices as a general LinearModel, projecting each posterior as
+    C @ mean, the fused state agrees bit for bit: kf_predict from the centre's
+    previous state (its first state built from the projected positions' mean),
+    then kf_update on the stacked C with the centre's noise block diag(rvv)."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 8]))
-    def test_block_and_plain_reports_fuse_bit_for_bit(self, seed, n):
+    def test_fused_state_equals_the_public_path_on_projected_positions(self, seed, n):
         rng = np.random.default_rng(seed)
         model = build_track_model(meas_var=9.0)
-        general = LinearModel(model.A, model.B, model.C, model.Rww, model.Rvv)
-        block_cv, plain_cv, block_general = (FusionCenter(model, n), FusionCenter(model, n),
-                                             FusionCenter(general, n))
+        general = plain(model)
+        center = FusionCenter(model, n)
         for frame in range(8):
-            meas, blocks, plains = [], [], []
+            meas, reports = [], []
             for _ in range(n):
                 if rng.random() < 0.2:
                     meas.append(None)
-                    blocks.append(None)
-                    plains.append(None)
+                    reports.append(None)
                     continue
                 m0 = np.array([300.0, 200.0, 80.0, 60.0]) + rng.normal(0, 20, 4)
                 p00, p11 = rng.uniform(1, 50, 2)
                 post = _BlockState(m0, rng.normal(0, 2, 4),
                                    (p00, rng.uniform(-0.9, 0.9) * np.sqrt(p00 * p11), p11))
-                assert np.array_equal(model.C @ post.mean, post.m0)
-                w_M = rng.uniform(0.01, 0.99)
                 meas.append(m0 + rng.normal(0, 3, 4))
-                blocks.append(ExpertReport(post, m0, np.eye(4), 1.0, w_M, frame))
-                plains.append(ExpertReport(GaussianState(post.mean, post.cov), m0, np.eye(4),
-                                           1.0, w_M, frame))
-            got = [block_cv.step(blocks, meas), block_general.step(blocks, meas)]
-            want = plain_cv.step(plains, meas)
-            for est in got:
-                if want is None:
-                    assert est is None
-                    continue
-                for name in ("w_d", "w_M", "rvv_scale"):
-                    assert getattr(est, name).tobytes() == getattr(want, name).tobytes()
-                assert est.state.mean.tobytes() == want.state.mean.tobytes()
-                assert est.state.cov.tobytes() == want.state.cov.tobytes()
+                reports.append(ExpertReport(post, m0, np.eye(4), 1.0, rng.uniform(0.01, 0.99),
+                                            frame))
+            prior = center.state
+            est = center.step(reports, meas)
+            present = [i for i, y in enumerate(meas) if y is not None]
+            if prior is None and not present:
+                assert est is None
+                continue
+            w_m = [math.nan if r is None else r.w_M for r in reports]
+            assert est.w_M.tobytes() == np.array(w_m).tobytes()
+            parts = [general.C @ reports[i].posterior.mean for i in present]
+            if prior is None:
+                prior = GaussianState(general.C.T @ np.mean(parts, axis=0), 1e4 * np.eye(8))
+            want = kf_predict(prior, general)
+            if present:
+                R = np.diag(np.repeat(est.rvv_scale[present], 4))
+                stacked = LinearModel(general.A, general.B, np.vstack([general.C] * len(present)),
+                                      general.Rww, R)
+                want = kf_update(want, stacked, np.concatenate(parts))[0]
+            assert est.coasting == (not present)
+            assert est.state.mean.tobytes() == want.mean.tobytes()
+            assert est.state.cov.tobytes() == want.cov.tobytes()
 
 
 class TestStackedNoiseBlock:
@@ -276,12 +317,8 @@ class TestTrustedFields:
     one fails here rather than as a missing attribute later. A block report
     holds ``s`` until its ``innovation_cov`` is first read."""
 
-    @pytest.mark.parametrize("plain", [False, True])
-    def test_every_per_frame_value_holds_exactly_its_fields(self, plain):
-        model = build_track_model(meas_var=9.0)
-        if plain:
-            model = LinearModel(model.A, model.B, model.C, model.Rww, model.Rvv)
-        pipe = make_pipeline(3, model, init_var=100.0)
+    def test_every_per_frame_value_holds_exactly_its_fields(self):
+        pipe = make_pipeline(3, build_track_model(meas_var=9.0), init_var=100.0)
         names = {cls: {f.name for f in fields(cls)}
                  for cls in (FusedEstimate, GaussianState, ExpertReport, LinearModel)}
         models, reports = [], []
@@ -311,10 +348,7 @@ class TestTrustedFields:
             assert type(stacked) is LinearModel and vars(stacked).keys() == names[LinearModel]
         for rep in reports:
             post = vars(rep.posterior)
-            if plain:
-                assert type(rep) is ExpertReport and vars(rep).keys() == names[ExpertReport]
-                assert post.keys() == names[GaussianState]
-                continue
+            assert type(rep) is _BlockReport and type(rep.posterior) is _BlockState
             assert vars(rep).keys() == names[ExpertReport] - {"innovation_cov"} | {"s"}
             assert post.keys() == {"m0", "m1", "P"}
             rep.innovation_cov
@@ -686,33 +720,40 @@ class TestAtomicStep:
         assert pipe.center.state is None and pipe.center.frame == -1
 
     def test_cond_limit_refuses_update_frames_only(self):
-        # Every axis is measured almost exactly; the last one also gains 1e6
-        # of process variance a frame. From frame 1 on, each expert's
-        # innovation covariance factors, but its squared diagonal ratio is
-        # past COND_LIMIT.
-        model = LinearModel(np.eye(4), np.zeros((4, 1)), np.eye(4),
-                            np.diag([0.0, 0.0, 0.0, 1e6]), 1e-8 * np.eye(4))
+        # The first frame pins the centre's positions to about rvv / 3 and
+        # leaves its rates near init_var. Each coast then adds about the rate
+        # variance to the position variance, and after 400 coasts the stacked
+        # innovation covariance factors, but its squared diagonal ratio is past
+        # COND_LIMIT. A coast makes no update and passes; an update frame is
+        # refused by the centre after every expert has stepped, and rolls back.
+        model = build_track_model()
         boxes = [np.array([100.0, 80.0, 40.0, 30.0])] * 3
-        coasting, updating = make_pipeline(3, model), make_pipeline(3, model)
-        coasting.step(boxes)
-        updating.step(boxes)
+        pipe = make_pipeline(3, model, init_var=1e8)
+        pipe.step(boxes)
+        for _ in range(400):
+            est = pipe.step([None] * 3)
+            assert est.coasting and np.isfinite(est.w_M).all()
 
-        est = coasting.step([None] * 3)
-        assert est is not None and est.coasting
-        assert np.isfinite(est.w_M).all()
-        for e in coasting.experts:
-            S = model.C @ e.state.cov @ model.C.T + model.Rvv
-            d = np.linalg.cholesky(S).diagonal()
-            assert (d.max() / d.min()) ** 2 > COND_LIMIT
+        before = [(e.state, e.last_meas, e.misses, e.frame) for e in pipe.experts]
+        center_state = pipe.center.state
+        updates = []
 
-        before = [(e.state, e.last_meas, e.misses, e.frame) for e in updating.experts]
-        center_state = updating.center.state
-        with pytest.raises(DegenerateGeometryError):
-            updating.step(boxes)
-        for e, (state, last_meas, misses, frame) in zip(updating.experts, before):
+        def recording_update(pred, stacked, y):
+            updates.append((pred, stacked))
+            return kf_update(pred, stacked, y)
+
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(DegenerateGeometryError):
+            mp.setattr(fusion, "kf_update", recording_update)
+            pipe.step(boxes)
+        (pred, stacked), = updates
+        S = stacked.C @ pred.cov @ stacked.C.T + stacked.Rvv
+        d = _cholesky(S).diagonal()
+        assert (d.max() / d.min()) ** 2 > COND_LIMIT
+        for e, (state, last_meas, misses, frame) in zip(pipe.experts, before):
             assert e.state is state and e.last_meas is last_meas
-            assert (e.misses, e.frame) == (misses, frame)
-        assert updating.center.state is center_state and updating.center.frame == 0
+            assert (e.misses, e.frame) == (misses, frame) == (400, 400)
+        assert pipe.center.state is center_state and pipe.center.frame == 400
+        assert pipe.step([None] * 3).frame == 401
 
 
 class TestAtomicCenterStep:
@@ -733,6 +774,22 @@ class TestAtomicCenterStep:
         state = fc.state
         with pytest.raises(ContractViolationError, match="expected 3 reports"):
             fc.step(reports, [self.BOX] * 2)
+        assert fc.frame == 0 and fc.state is state
+        got, want = fc.step(reports, [self.BOX] * 3), twin.step(reports, [self.BOX] * 3)
+        assert got.frame == want.frame == 1
+        assert np.array_equal(got.state.mean, want.state.mean)
+        assert np.array_equal(got.state.cov, want.state.cov)
+
+    @pytest.mark.parametrize("bad", ["abcd", [1, [2, 3], 3, 4]], ids=["text", "ragged"])
+    def test_malformed_reading_is_refused_unchanged(self, bad):
+        model = build_track_model()
+        fc, twin = FusionCenter(model, 3), FusionCenter(model, 3)
+        reports = [make_report(model, self.BOX)] * 3
+        fc.step(reports, [self.BOX] * 3)
+        twin.step(reports, [self.BOX] * 3)
+        state = fc.state
+        with pytest.raises(ContractViolationError, match="reading is not numeric"):
+            fc.step(reports, [self.BOX, bad, self.BOX])
         assert fc.frame == 0 and fc.state is state
         got, want = fc.step(reports, [self.BOX] * 3), twin.step(reports, [self.BOX] * 3)
         assert got.frame == want.frame == 1
