@@ -157,6 +157,8 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     grid = parse_grid(args.grid)
+    if args.seed is not None and "run.seed" in grid:
+        raise ConfigError("--seed and a run.seed grid axis cannot both set the seed")
     keys = list(grid)
     cells = math.prod(map(len, grid.values()))
     if cells > SWEEP_CELL_LIMIT and not args.force:

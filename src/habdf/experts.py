@@ -23,11 +23,10 @@ from .errors import ContractViolationError
 # Experts never call kf_update; the name stays bound here because
 # perfbench/tests/test_bench.py::TestTracer asserts that habdf.experts.kf_update is patched.
 from .kalman import (GaussianState, LinearModel, _BlockState, _cholesky, _cv_block_of,
-                     _cv_predict, _cv_update, _eye, _trusted, kf_update)
+                     _cv_predict, _cv_update, _eye, _init_var, _trusted, kf_update)
 
 __all__ = [
     "mahalanobis",
-    "mahalanobis_diag",
     "local_weight",
     "chi2_xi",
     "ExpertConfig",
@@ -76,27 +75,6 @@ def mahalanobis(y, mu, cov) -> float:
     # is sqrt(z . z), exactly as np.linalg.norm computes it for a real vector.
     z = dtrtrs(_cholesky(cov), r, lower=1)[0]
     return math.sqrt(z.dot(z))
-
-
-def mahalanobis_diag(y, mu, cov_diag) -> float:
-    """Cheap per-component distance: sum of |y_i - mu_i| / sqrt(C_i).
-
-    This is the component-root form (a sum of square roots, not the root of a
-    sum), so on diagonal covariances it upper-bounds the exact distance.
-    ``cov_diag`` entries must be strictly positive.
-    """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    c = np.asarray(cov_diag, dtype=float)
-    if y.shape != mu.shape or y.shape != c.shape or y.ndim != 1:
-        raise ContractViolationError(
-            f"mismatched shapes: y {y.shape}, mu {mu.shape}, cov_diag {c.shape}"
-        )
-    if not (np.isfinite(y).all() and np.isfinite(mu).all() and np.isfinite(c).all()):
-        raise ContractViolationError("non-finite input to mahalanobis_diag")
-    if (c <= 0).any():
-        raise ContractViolationError("cov_diag entries must be strictly positive")
-    return float((np.abs(y - mu) / np.sqrt(c)).sum())
 
 
 def local_weight(md: float, xi: float) -> float:
@@ -178,26 +156,25 @@ class Expert:
     """Kalman filter plus reliability scorer for a single sensor.
 
     The model must come from ``build_cv_model``. The expert initializes
-    lazily from the first measurement it sees (measured slots copied in,
-    velocities zero, covariance ``init_var`` I).
+    lazily from the first measurement it sees: positions are its own copy of
+    that reading, rates zero, block ``(init_var, 0, init_var)``.
     While the sensor reports nothing, ``step(None)`` coasts on the prediction
     and scores the LAST seen measurement against the current predicted
     distribution, so the penalty of a stale sensor grows as the world moves
     on. After ``stale_after`` consecutive misses the covariance is reset on
-    reacquisition, so the expert re-anchors rather than fighting its history.
+    reacquisition, so the expert re-anchors at its positions ``m0`` and rates
+    ``m1`` rather than fighting its history.
     """
 
     def __init__(self, model: LinearModel, config: ExpertConfig | None = None,
                  init_var: float = 1e4, stale_after: int | None = None):
         self._block = _cv_block_of(model)
-        if not (np.isfinite(init_var) and init_var > 0):
-            raise ContractViolationError(f"init_var must be positive, got {init_var}")
+        self.init_var = _init_var(init_var)
         if stale_after is not None and stale_after < 1:
             raise ContractViolationError(f"stale_after must be >= 1, got {stale_after}")
-        self.model = model
         self.config = config or ExpertConfig()
-        self.init_var = float(init_var)
         self.stale_after = stale_after
+        self._P0 = (self.init_var, 0.0, self.init_var)
         self.state: GaussianState | None = None
         self.last_meas: np.ndarray | None = None
         self.misses = 0
@@ -225,12 +202,12 @@ class Expert:
                 if y.shape != (b.k,):
                     raise ContractViolationError(f"y and mu must be matching vectors, "
                                                  f"got {y.shape} and {(b.k,)}")
-                # Measured slots filled, rates zero.
-                state = self._reopen(self.model.C.T @ y)
+                if not np.isfinite(y).all():
+                    raise ContractViolationError("mean contains non-finite entries")
+                state = _BlockState(y, np.zeros(b.k), self._P0)  # positions read, rates zero
             elif self.stale_after is not None and self.misses >= self.stale_after:
-                # Reacquisition after a long gap: belief is void, keep the mean
-                # but reopen the covariance so the fresh measurement dominates.
-                state = self._reopen(state.mean)
+                # Reacquisition after a long gap: keep the mean, reopen the covariance.
+                state = _BlockState(state.m0, state.m1, self._P0)
         elif state is None:
             self.frame = frame
             return None
@@ -248,13 +225,3 @@ class Expert:
                           w_M=w, frame=frame)
         self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame
         return report
-
-    def _reopen(self, mean: np.ndarray) -> _BlockState:
-        """A block state at ``mean`` with covariance ``init_var`` I, refused
-        as GaussianState refuses that mean and covariance."""
-        if not np.isfinite(mean).all():
-            raise ContractViolationError("mean contains non-finite entries")
-        v, k = self.init_var, self._block.k
-        if not math.isfinite(v + v):  # GaussianState symmetrizes as 0.5 * (P + P^T)
-            raise ContractViolationError("cov overflows when symmetrized")
-        return _BlockState(mean[:k], mean[k:], (v, 0.0, v))

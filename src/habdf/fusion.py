@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ContractViolationError, InsufficientDetectorsError
 from .experts import Expert, ExpertConfig
-from .kalman import GaussianState, LinearModel, _cv_block_of, _trusted, kf_predict, kf_update
+from .kalman import (GaussianState, LinearModel, _cv_block_of, _init_var, _trusted, kf_predict,
+                     kf_update)
 from .voting import VoteConfig, _nearest_peer, vote_weight
 
 __all__ = [
@@ -137,8 +138,7 @@ class FusionCenter:
             raise InsufficientDetectorsError(
                 f"majority voting needs at least 3 detectors, got {n_detectors}"
             )
-        if not (np.isfinite(init_var) and init_var > 0):
-            raise ContractViolationError(f"init_var must be positive, got {init_var}")
+        init_var = _init_var(init_var)
         _cv_block_of(model)
         self.model = model
         self.n_detectors = n_detectors

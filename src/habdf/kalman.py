@@ -267,6 +267,15 @@ def _cv_block_of(model) -> _CVBlock:
     return b
 
 
+def _init_var(init_var) -> float:
+    """``init_var`` as a float, refused unless positive and ``init_var I`` symmetrizes finitely."""
+    if not (np.isfinite(init_var) and init_var > 0):
+        raise ContractViolationError(f"init_var must be positive, got {init_var}")
+    if not math.isfinite(2.0 * float(init_var)):
+        raise ContractViolationError(f"init_var overflows 2 * init_var, got {init_var}")
+    return float(init_var)
+
+
 def _cv_predict(b: _CVBlock, state: _BlockState):
     """Closed-form predict of a block state. Returns the predicted positions,
     rates and block ``(p00, p01, p11)``, and the innovation variance

@@ -352,7 +352,7 @@ def run_sim_experiment(scenario: SimScenario) -> SimResult:
     fused, fused_var = np.empty((2, T))
     for t in range(T):
         est = pipe.step([sensors[i, t:t + 1] for i in range(n)])
-        experts[:, t] = [e.state.mean[0] for e in pipe.experts]
+        experts[:, t] = [e.state.m0[0] for e in pipe.experts]
         w_m[:, t], w_d[:, t], rvv[:, t] = est.w_M, est.w_d, est.rvv_scale
         fused[t] = est.state.mean[0]
         fused_var[t] = est.state.cov[0, 0]

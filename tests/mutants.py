@@ -91,6 +91,12 @@ MUTANTS = [
     ("fusion.py", "        _cv_block_of(model)\n", "", "centre-accepts-general-model"),
     ("experts.py", "if not isinstance(self.posterior, _BlockState):", "if False:",
      "report-accepts-plain-posterior"),
+    # Settings refused once, at construction, and a first reading tested
+    # before it anchors the expert.
+    ("kalman.py", "if not math.isfinite(2.0 * float(init_var)):", "if False:",
+     "init-var-overflow-check-dropped"),
+    ("experts.py", "if not np.isfinite(y).all():", "if False:",
+     "first-reading-finite-check-dropped"),
 ]
 
 

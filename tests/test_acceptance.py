@@ -31,7 +31,6 @@ from habdf import (
     kf_update,
     local_weight,
     mahalanobis,
-    mahalanobis_diag,
     success,
     vote_weight,
 )
@@ -100,12 +99,6 @@ def test_criterion_2_distance_and_weight_examples():
             == pytest.approx(math.sqrt(2.0), abs=tol)
         assert mahalanobis([1.0, 1.0], [0.0, 0.0], [[2.0, 1.0], [1.0, 2.0]]) \
             == pytest.approx(math.sqrt(2.0 / 3.0), abs=tol)
-
-        assert mahalanobis_diag([2.0, 1.0], [0.0, 0.0], [4.0, 1.0]) \
-            == pytest.approx(2.0, abs=tol)
-        assert mahalanobis_diag([0.0, 0.0], [0.0, 0.0], [4.0, 1.0]) == 0.0
-        assert mahalanobis_diag([5.0], [0.0], [25.0]) == pytest.approx(
-            mahalanobis([5.0], [0.0], [[25.0]]), abs=tol)
 
         for xi in (0.5, 1.0, 3.0802, 7.0):
             assert local_weight(xi, xi) == pytest.approx(0.5, abs=1e-12)

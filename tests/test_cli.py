@@ -293,14 +293,15 @@ class TestFuse:
         assert "md must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_overflowing_init_var_exits_1_and_writes_nothing(self, tmp_path, capsys):
+    def test_overflowing_init_var_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # Refused with the config, before any frame runs.
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("filter.init_var = 1e308\n")
         out = tmp_path / "fused.csv"
         rc = main(["fuse", self.write_tracks(tmp_path, frames=3), "--config", str(cfg),
                    "--out", str(out)])
-        assert rc == 1
-        assert "error: cov overflows when symmetrized" in capsys.readouterr().err
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: filter.init_var: init_var overflows 2 * init_var, got 1e+308\n")
         assert not out.exists()
 
     def test_missing_tracks_exit_2_and_names_path(self, tmp_path, capsys):
@@ -372,6 +373,8 @@ class TestConfigKeysAndValues:
         ("filter.meas_var = -1", "filter.meas_var: meas_var must be >= 0, got -1.0"),
         ("filter.dt = 0", "filter.dt: dt must be positive and finite, got 0.0"),
         ("filter.init_var = -5", "filter.init_var: init_var must be positive, got -5.0"),
+        ("filter.init_var = 1e308", "filter.init_var: init_var overflows 2 * init_var, "
+                                    "got 1e+308"),
         ("vote.lambda = -1", "vote.lambda: lam must be >= 0 and finite, got -1.0"),
         ("fusion.cov_floor = 0", "fusion.cov_floor: cov_floor must be > 0, got 0.0"),
         ("fusion.stale_after = 0", "fusion.stale_after: stale_after must be >= 1, got 0"),
@@ -604,6 +607,15 @@ class TestSweep:
         assert rc == 0
         rows, _ = read_csv_dicts(out)
         assert len(rows) == 2
+
+    def test_seed_with_a_run_seed_axis_exits_2(self, small_scenario, tmp_path, capsys):
+        # --seed would set every cell's seed, so the axis's labels would lie.
+        out = tmp_path / "o.csv"
+        rc = main(["sweep", "--config", small_scenario, "--grid", "run.seed=0,1",
+                   "--seed", "5", "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: --seed and a run.seed grid axis cannot both set the seed\n")
+        assert not out.exists()
 
     def test_unknown_grid_key_exit_2(self, small_scenario, tmp_path, capsys):
         rc = main(["sweep", "--config", small_scenario,

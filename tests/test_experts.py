@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from habdf import (
     kf_update,
     local_weight,
     mahalanobis,
-    mahalanobis_diag,
 )
 from habdf.experts import _W_HI, _W_LO, _BlockReport
 from habdf.kalman import _BlockState, _cholesky
@@ -94,38 +94,6 @@ class TestMahalanobis:
         base = mahalanobis(q, np.zeros(3), C)
         rotated = mahalanobis(Q @ q, np.zeros(3), Q @ C @ Q.T)
         assert rotated == pytest.approx(base, abs=1e-9, rel=1e-9)
-
-
-class TestMahalanobisDiag:
-    def test_per_component_sum(self):
-        d = mahalanobis_diag([2.0, 1.0], [0.0, 0.0], [4.0, 1.0])
-        assert d == pytest.approx(2.0, abs=1e-12)
-
-    def test_zero_residual(self):
-        assert mahalanobis_diag([1.0, 2.0], [1.0, 2.0], [4.0, 1.0]) == 0.0
-
-    def test_single_component_equals_exact_form(self):
-        approx = mahalanobis_diag([5.0], [0.0], [25.0])
-        exact = mahalanobis([5.0], [0.0], [[25.0]])
-        assert approx == pytest.approx(1.0, abs=1e-12)
-        assert approx == pytest.approx(exact, abs=1e-12)
-
-    def test_nonpositive_diagonal_rejected(self):
-        with pytest.raises(ContractViolationError):
-            mahalanobis_diag([1.0], [0.0], [0.0])
-        with pytest.raises(ContractViolationError):
-            mahalanobis_diag([1.0], [0.0], [-1.0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_upper_bounds_exact_on_diagonal_covs(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 6))
-        q = rng.normal(0, 5, n)
-        c = rng.uniform(0.1, 10.0, n)
-        approx = mahalanobis_diag(q, np.zeros(n), c)
-        exact = mahalanobis(q, np.zeros(n), np.diag(c))
-        assert approx >= exact - 1e-12
 
 
 class TestLocalWeight:
@@ -297,20 +265,33 @@ class TestBlockStateReports:
 
     @pytest.mark.parametrize("first, init_var", [
         ([np.nan, 1.0, 2.0, 3.0], 1e4),
-        ([1.0, 1.0, 2.0, 3.0], 1e308),
-        ([np.nan, 1.0, 2.0, 3.0], 1e308),
+        ([1.0, -np.inf, 2.0, 3.0], 1e4),
+        ([np.inf, 1.0, 2.0, 3.0], 1e4),
     ])
     def test_bad_first_state_is_refused_as_gaussian_state_refuses_it(self, first, init_var):
         # The expert builds its first block state without a 2k x 2k matrix;
         # it refuses exactly what the public GaussianState refuses of the
-        # mean C^T y and covariance init_var I, with the same message.
-        model = build_track_model()
+        # mean (y, 0) and covariance init_var I, with the same message, and
+        # without a warning first: no 0 * inf is formed.
         with pytest.raises(ContractViolationError) as want:
-            GaussianState(model.C.T @ np.array(first), init_var * np.eye(8))
-        exp = Expert(model, init_var=init_var)
-        with pytest.raises(ContractViolationError, match=f"^{re.escape(str(want.value))}$"):
-            exp.step(first)
-        assert exp.state is None and exp.frame == -1
+            GaussianState(np.concatenate((first, np.zeros(4))), init_var * np.eye(8))
+        exp = Expert(build_track_model(), init_var=init_var)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match=f"^{re.escape(str(want.value))}$"):
+                exp.step(first)
+        assert exp.state is None and exp.last_meas is None and exp.frame == -1
+
+    @pytest.mark.parametrize("init_var", [1e308, 8.99e307])
+    def test_overflowing_init_var_is_refused_at_construction(self, init_var):
+        # GaussianState refuses init_var I, whose symmetrizing sum overflows;
+        # the expert refuses the setting once, before any reading.
+        with pytest.raises(ContractViolationError, match="cov overflows when symmetrized"):
+            GaussianState(np.zeros(8), init_var * np.eye(8))
+        want = f"init_var overflows 2 * init_var, got {init_var}"
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(want)}$"):
+            Expert(build_track_model(), init_var=init_var)
+        assert Expert(build_track_model(), init_var=8.98e307).init_var == 8.98e307
 
 
 class TestExpertStep:
@@ -600,10 +581,6 @@ class TestRefusals:
                      r"cov shape \(3, 3\) does not match vector length 2", id="cov-shape"),
         pytest.param(lambda: mahalanobis([0.0, 0.0], [0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
                      r"non-finite input to mahalanobis", id="cov-nonfinite"),
-        pytest.param(lambda: mahalanobis_diag([0.0, 0.0], [0.0, 0.0], [1.0]),
-                     r"mismatched shapes: y \(2,\), mu \(2,\), cov_diag \(1,\)", id="diag-shapes"),
-        pytest.param(lambda: mahalanobis_diag([np.nan, 0.0], [0.0, 0.0], [1.0, 1.0]),
-                     r"non-finite input to mahalanobis_diag", id="diag-nonfinite"),
         pytest.param(lambda: ExpertConfig(xi=0.0),
                      r"xi must be positive and finite, got 0.0", id="xi"),
         pytest.param(lambda: Expert(build_track_model(), stale_after=0),

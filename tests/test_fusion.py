@@ -1,6 +1,7 @@
 """Fusion center: adaptive noise, stacked updates, exclusion behavior."""
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -150,6 +151,16 @@ class TestFusionCenterBasics:
     def test_needs_three_detectors(self):
         with pytest.raises(InsufficientDetectorsError):
             FusionCenter(build_track_model(), 2)
+
+    @pytest.mark.parametrize("init_var, message", [
+        (0.0, "init_var must be positive, got 0.0"),
+        (1e308, r"init_var overflows 2 \* init_var, got 1e\+308"),
+    ], ids=["zero", "overflowing"])
+    def test_bad_init_var_is_refused_at_construction(self, init_var, message):
+        # The first state's init_var I would overflow when GaussianState
+        # symmetrizes it; the centre refuses the setting before any frame.
+        with pytest.raises(ContractViolationError, match=f"^{message}$"):
+            FusionCenter(build_track_model(), 3, init_var=init_var)
 
     def test_returns_none_until_anything_seen(self):
         center = FusionCenter(build_track_model(), 3)
@@ -710,14 +721,28 @@ class TestAtomicStep:
         assert pipe.center.state is None and pipe.center.frame == -1
         assert pipe.step(self.frames(1)[0]).frame == 0
 
-    def test_overflowing_init_var_leaves_pipeline_unstarted(self):
-        # init_var passes its own check; the first expert state's covariance
-        # overflows when symmetrized and is refused before any state is set.
-        pipe = make_pipeline(3, build_track_model(), init_var=1e308)
-        with pytest.raises(ContractViolationError, match="cov overflows when symmetrized"):
-            pipe.step(self.frames(1)[0])
-        assert all(e.state is None and e.frame == -1 for e in pipe.experts)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("detector", [0, 2])
+    def test_infinite_first_reading_leaves_pipeline_unstarted(self, bad, detector):
+        # Refused by the expert's finiteness test, with no warning first.
+        pipe = make_pipeline(3, build_track_model())
+        boxes = self.frames(1)[0]
+        boxes[detector] = np.array([100.0, bad, 50.0, 40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="^mean contains non-finite entries$"):
+                pipe.step(boxes)
+        assert all(e.state is None and e.last_meas is None and e.frame == -1
+                   for e in pipe.experts)
         assert pipe.center.state is None and pipe.center.frame == -1
+        assert pipe.step(self.frames(1)[0]).frame == 0
+
+    def test_overflowing_init_var_is_refused_at_construction(self):
+        # init_var I would overflow when symmetrized; the setting is refused
+        # once, before any pipeline exists to step.
+        with pytest.raises(ContractViolationError,
+                           match=r"^init_var overflows 2 \* init_var, got 1e\+308$"):
+            make_pipeline(3, build_track_model(), init_var=1e308)
 
     def test_cond_limit_refuses_update_frames_only(self):
         # The first frame pins the centre's positions to about rvv / 3 and

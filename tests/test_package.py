@@ -14,8 +14,8 @@ from habdf import sim
 MODULE_API = {
     "errors": {"HabdfError", "ContractViolationError", "DegenerateGeometryError",
                "InsufficientDetectorsError", "ConfigError", "RecordFormatError"},
-    "experts": {"mahalanobis", "mahalanobis_diag", "local_weight", "chi2_xi", "ExpertConfig",
-                "ExpertReport", "Expert"},
+    "experts": {"mahalanobis", "local_weight", "chi2_xi", "ExpertConfig", "ExpertReport",
+                "Expert"},
     "fusion": {"adapt_rvv", "FusionConfig", "FusedEstimate", "FusionCenter", "Pipeline",
                "make_pipeline"},
     "kalman": {"GaussianState", "LinearModel", "kf_predict", "kf_update", "build_cv_model",
@@ -45,8 +45,8 @@ def test_each_module_keeps_its_all():
         assert set(module_all) == api, name
 
 
-def test_package_all_is_the_54_exported_names_once_each():
-    assert len(habdf.__all__) == len(set(habdf.__all__)) == 54
+def test_package_all_is_the_53_exported_names_once_each():
+    assert len(habdf.__all__) == len(set(habdf.__all__)) == 53
     assert set(habdf.__all__) == set().union(*EXPORTED.values())
 
 
