@@ -224,6 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         name = exc.filename or (exc.args[0] if exc.args else exc)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a numeric setting."""
+
+import math
+import numbers
 
 __all__ = [
     "HabdfError",
@@ -39,3 +42,27 @@ class ConfigError(HabdfError, ValueError):
 
 class RecordFormatError(HabdfError, ValueError):
     """A CSV record file is malformed; message carries path and row number."""
+
+
+# Each rule, in the words its refusal uses. Only "> 0" passes inf; none passes NaN.
+_RULES = {
+    "finite": lambda v: abs(v) < math.inf,
+    "> 0 and finite": lambda v: 0 < v < math.inf,
+    ">= 0 and finite": lambda v: 0 <= v < math.inf,
+    "> 0": lambda v: v > 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "an integer": lambda v: abs(v) < math.inf and v % 1 == 0,
+    "an integer >= 0": lambda v: 0 <= v < math.inf and v % 1 == 0,
+    "an integer >= 1": lambda v: 1 <= v < math.inf and v % 1 == 0,
+}
+
+
+def _setting(name: str, value, rule: str):
+    """``value`` as given if it is a real number keeping ``rule``, a key of _RULES
+    (an integer rule takes ``2.0``); anything else, a str, None or NaN included,
+    raises ContractViolationError "<name> must be <rule>, got <value>"."""
+    if not (isinstance(value, numbers.Real) and _RULES[rule](value)):
+        shown = value if isinstance(value, numbers.Real) else repr(value)
+        raise ContractViolationError(f"{name} must be {rule}, got {shown}")
+    return value

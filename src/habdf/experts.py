@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaincinv
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _setting
 # Experts never call kf_update; the name stays bound here because
 # perfbench/tests/test_bench.py::TestTracer asserts that habdf.experts.kf_update is patched.
 from .kalman import (GaussianState, LinearModel, _BlockState, _cholesky, _cv_block_of,
@@ -100,10 +100,8 @@ def chi2_xi(dof: int, confidence: float = 0.95) -> float:
     With this shift, a nominal Gaussian residual of ``dof`` dimensions lands
     past the midpoint with probability 1 - confidence.
     """
-    if int(dof) != dof or dof < 1:
-        raise ContractViolationError(f"dof must be a positive integer, got {dof}")
-    if not (0.0 < confidence < 1.0):
-        raise ContractViolationError(f"confidence must be in (0, 1), got {confidence}")
+    _setting("dof", dof, "an integer >= 1")
+    _setting("confidence", confidence, "in (0, 1)")
     # scipy.stats' chi2.ppf is 2 * gammaincinv(dof / 2, q); calling it here keeps
     # scipy.stats, about half of the package's import time, out of the import.
     return math.sqrt(2 * gammaincinv(int(dof) / 2, confidence))
@@ -120,8 +118,7 @@ class ExpertConfig:
     xi: float = field(default_factory=lambda: chi2_xi(4, 0.95))
 
     def __post_init__(self):
-        if not (np.isfinite(self.xi) and self.xi > 0):
-            raise ContractViolationError(f"xi must be positive and finite, got {self.xi}")
+        _setting("xi", self.xi, "> 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -170,8 +167,8 @@ class Expert:
                  init_var: float = 1e4, stale_after: int | None = None):
         self._block = _cv_block_of(model)
         self.init_var = _init_var(init_var)
-        if stale_after is not None and stale_after < 1:
-            raise ContractViolationError(f"stale_after must be >= 1, got {stale_after}")
+        if stale_after is not None:
+            _setting("stale_after", stale_after, "an integer >= 1")
         self.config = config or ExpertConfig()
         self.stale_after = stale_after
         self._P0 = (self.init_var, 0.0, self.init_var)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, InsufficientDetectorsError
+from .errors import ContractViolationError, InsufficientDetectorsError, _setting
 from .experts import Expert, ExpertConfig
 from .kalman import (GaussianState, LinearModel, _cv_block_of, _init_var, _trusted, kf_predict,
                      kf_update)
@@ -71,10 +71,8 @@ class FusionConfig:
     expert: ExpertConfig = field(default_factory=ExpertConfig)
 
     def __post_init__(self):
-        if not (self.cov_floor > 0 and np.isfinite(self.cov_floor)):
-            raise ContractViolationError(f"cov_floor must be > 0, got {self.cov_floor}")
-        if self.stale_after < 1:
-            raise ContractViolationError(f"stale_after must be >= 1, got {self.stale_after}")
+        _setting("cov_floor", self.cov_floor, "> 0 and finite")
+        _setting("stale_after", self.stale_after, "an integer >= 1")
 
     def gains(self, n: int) -> tuple[list, list]:
         """gamma and delta as two lists of n Python floats. A gain whose
@@ -84,12 +82,11 @@ class FusionConfig:
         none would)."""
         out = []
         for name, val in (("gamma", self.gamma), ("delta", self.delta)):
-            arr = np.asarray(val, dtype=float)
+            arr = np.asarray(val, dtype=object)  # each entry as given, a str or None too
             if arr.ndim and arr.shape != (n,):
                 raise ContractViolationError(f"{name} has {arr.size} entries for {n} detectors")
-            vals = arr.tolist() if arr.ndim else [arr.item()] * n
-            if not all(v > 0 and math.isfinite(v) for v in vals):
-                raise ContractViolationError(f"{name} entries must be > 0 and finite")
+            vals = [float(_setting(name, v, "> 0 and finite"))
+                    for v in (arr.tolist() if arr.ndim else [arr.item()] * n)]
             out.append(vals)
         for g, d in zip(*out):
             terms = {"gamma": g, "omega0": self.vote.omega0, "omega": self.vote.omega, "delta": d}

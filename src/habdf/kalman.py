@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dposv, dpotrf
 
-from .errors import ContractViolationError, DegenerateGeometryError
+from .errors import ContractViolationError, DegenerateGeometryError, _setting
 
 __all__ = [
     "GaussianState",
@@ -269,8 +269,7 @@ def _cv_block_of(model) -> _CVBlock:
 
 def _init_var(init_var) -> float:
     """``init_var`` as a float, refused unless positive and ``init_var I`` symmetrizes finitely."""
-    if not (np.isfinite(init_var) and init_var > 0):
-        raise ContractViolationError(f"init_var must be positive, got {init_var}")
+    _setting("init_var", init_var, "> 0 and finite")
     if not math.isfinite(2.0 * float(init_var)):
         raise ContractViolationError(f"init_var overflows 2 * init_var, got {init_var}")
     return float(init_var)
@@ -337,14 +336,10 @@ def build_cv_model(n_axes: int, dt: float, accel_var: float, meas_var: float) ->
     model carries that block, and experts on it filter the block in closed
     form; its arrays are read-only, so the two cannot disagree.
     """
-    if n_axes < 1:
-        raise ContractViolationError(f"n_axes must be >= 1, got {n_axes}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ContractViolationError(f"dt must be positive and finite, got {dt}")
-    if not (np.isfinite(accel_var) and accel_var >= 0):
-        raise ContractViolationError(f"accel_var must be >= 0, got {accel_var}")
-    if not (np.isfinite(meas_var) and meas_var >= 0):
-        raise ContractViolationError(f"meas_var must be >= 0, got {meas_var}")
+    _setting("n_axes", n_axes, "an integer >= 1")
+    _setting("dt", dt, "> 0 and finite")
+    _setting("accel_var", accel_var, ">= 0 and finite")
+    _setting("meas_var", meas_var, ">= 0 and finite")
 
     k = n_axes
     q, g1 = float(accel_var), float(dt)

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _setting
 from .fusion import FusionConfig, make_pipeline
 from .kalman import build_cv_model
 
@@ -54,14 +54,10 @@ class SecondOrderPlant:
     dt: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.natural_freq) and self.natural_freq > 0):
-            raise ContractViolationError(f"natural_freq must be > 0, got {self.natural_freq}")
-        if not (np.isfinite(self.damping) and self.damping >= 0):
-            raise ContractViolationError(f"damping must be >= 0, got {self.damping}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ContractViolationError(f"dt must be > 0, got {self.dt}")
-        if not np.isfinite(self.gain):
-            raise ContractViolationError(f"gain must be finite, got {self.gain}")
+        _setting("natural_freq", self.natural_freq, "> 0 and finite")
+        _setting("damping", self.damping, ">= 0 and finite")
+        _setting("dt", self.dt, "> 0 and finite")
+        _setting("gain", self.gain, "finite")
 
 
 @lru_cache(maxsize=64)
@@ -107,13 +103,11 @@ def setpoint_profile(kind: str, n: int, amplitude: float = 1.0, period: int = 20
     """Set-point sequences: constant ``value``, alternating square wave of
     +/- ``amplitude`` switching every ``period`` samples, or a repeating ramp
     from 0 to ``amplitude`` over ``period`` samples."""
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
+    _setting("n", n, "an integer >= 1")
     t = np.arange(n)
     if kind == "constant":
         return np.full(n, float(value))
-    if period < 1:
-        raise ContractViolationError(f"period must be >= 1, got {period}")
+    _setting("period", period, "an integer >= 1")
     if kind == "square":
         return amplitude * (1.0 - 2.0 * ((t // period) % 2))
     if kind == "ramp":
@@ -139,25 +133,19 @@ class FaultProfile:
     shock_window: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ContractViolationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not (0.0 <= self.spike_prob <= 1.0):
-            raise ContractViolationError(f"spike_prob must be in [0, 1], got {self.spike_prob}")
+        _setting("noise_sigma", self.noise_sigma, ">= 0 and finite")
+        _setting("spike_prob", self.spike_prob, "in [0, 1]")
         for name in ("spike_mag", "drift_rate", "shock_offset"):
-            if not np.isfinite(getattr(self, name)):
-                raise ContractViolationError(f"{name} must be finite")
+            _setting(name, getattr(self, name), "finite")
         start, end = self.shock_window
-        if int(start) != start or int(end) != end or start > end:
-            raise ContractViolationError(
-                f"shock_window must be ordered integers, got {self.shock_window}"
-            )
+        if _setting("shock_start", start, "an integer") > _setting("shock_end", end, "an integer"):
+            raise ContractViolationError(f"shock_window must be ordered, got {self.shock_window}")
 
 
 def inject_faults(clean, profile: FaultProfile, seed: int = 0) -> np.ndarray:
     """Apply the fault recipe to a clean signal, drawing noise and then spikes
     from the RNG stream ``seed``; the input is never mutated."""
-    if int(seed) != seed or seed < 0:
-        raise ContractViolationError(f"seed must be a nonnegative integer, got {seed}")
+    _setting("seed", seed, "an integer >= 0")
     x = np.asarray(clean, dtype=float)
     if x.ndim != 1:
         raise ContractViolationError(f"clean signal must be 1-D, got ndim={x.ndim}")
@@ -184,15 +172,11 @@ class PidGains:
     integral_limit: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ContractViolationError(f"dt must be > 0, got {self.dt}")
+        _setting("dt", self.dt, "> 0 and finite")
         for name in ("kp", "ki", "kd"):
-            if not np.isfinite(getattr(self, name)):
-                raise ContractViolationError(f"{name} must be finite")
-        if self.integral_limit is not None and not self.integral_limit > 0:
-            raise ContractViolationError(
-                f"integral_limit must be > 0 or None, got {self.integral_limit}"
-            )
+            _setting(name, getattr(self, name), "finite")
+        if self.integral_limit is not None:  # None, like inf, clamps nothing
+            _setting("integral_limit", self.integral_limit, "> 0")
 
 
 @dataclass(frozen=True)
@@ -228,10 +212,8 @@ def run_pan_loop(gains: PidGains, frames: int, setpoint: float = 0.0,
     angle trajectory. Note the derivative term's loop gain through an
     integrator is kd * plant_gain, which must stay below 1 for stability.
     """
-    if frames < 1:
-        raise ContractViolationError(f"frames must be >= 1, got {frames}")
-    if not (np.isfinite(plant_gain) and plant_gain > 0):
-        raise ContractViolationError(f"plant_gain must be > 0, got {plant_gain}")
+    _setting("frames", frames, "an integer >= 1")
+    _setting("plant_gain", plant_gain, "> 0 and finite")
     x = 0.0
     st = PidState()
     out = np.empty(frames)
@@ -269,10 +251,8 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise ContractViolationError(f"frames must be >= 1, got {self.frames}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ContractViolationError(f"seed must be a nonnegative integer, got {self.seed}")
+        _setting("frames", self.frames, "an integer >= 1")
+        _setting("seed", self.seed, "an integer >= 0")
         if isinstance(self.meas_var, tuple) and len(self.meas_var) != len(self.faults):
             raise ContractViolationError(
                 f"meas_var has {len(self.meas_var)} entries for {len(self.faults)} sensors"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InsufficientDetectorsError
+from .errors import ContractViolationError, InsufficientDetectorsError, _setting
 
 __all__ = [
     "BoundingBox",
@@ -106,9 +106,7 @@ class VoteConfig:
 
     def __post_init__(self):
         for name in ("omega0", "omega", "lam"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ContractViolationError(f"{name} must be >= 0 and finite, got {v}")
+            v = _setting(name, getattr(self, name), ">= 0 and finite")
             object.__setattr__(self, name, float(v))
         if not math.isfinite(self.omega0 + 2.0 * self.omega):
             raise ContractViolationError(

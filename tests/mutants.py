@@ -97,6 +97,17 @@ MUTANTS = [
      "init-var-overflow-check-dropped"),
     ("experts.py", "if not np.isfinite(y).all():", "if False:",
      "first-reading-finite-check-dropped"),
+    # One rule checks every numeric setting. Without its integer test, a count
+    # falls back to a bare comparison, which NaN passes; without its type test,
+    # a str or None escapes as a TypeError.
+    ("errors.py", '''    "an integer": lambda v: abs(v) < math.inf and v % 1 == 0,
+    "an integer >= 0": lambda v: 0 <= v < math.inf and v % 1 == 0,
+    "an integer >= 1": lambda v: 1 <= v < math.inf and v % 1 == 0,''',
+     '''    "an integer": lambda v: True,
+    "an integer >= 0": lambda v: not v < 0,
+    "an integer >= 1": lambda v: not v < 1,''', "setting-count-accepts-nan"),
+    ("errors.py", "isinstance(value, numbers.Real) and _RULES[rule](value)",
+     "_RULES[rule](value)", "setting-type-test-dropped"),
 ]
 
 

@@ -297,3 +297,93 @@ def eval_rowwise(fused, gt, out, summary_out):
                               "success_rate"],
                 [["fused", len(rows), float(np.mean(cols[1])), float(np.mean(cols[2])),
                   float(np.mean([1.0 if s else 0.0 for s in cols[3]]))]])
+
+
+def mp_fused_means(readings, dt, accel_var, meas_var, init_var, xi, omega0, omega, lam, gamma,
+                   delta, cov_floor, stale_after, dps=50):
+    """The paper's fusion run at ``dps`` significant digits over ``readings``
+    (per frame, one (u, v, h, w) box or None per detector); returns each
+    frame's fused mean rounded to floats, None before the first reading.
+
+    Each expert is a textbook Kalman filter on the 8-state constant-velocity
+    box model: it starts at the first reading with rates 0 and covariance
+    ``init_var I``, reopens that covariance on a reading after
+    ``stale_after`` silent frames, scores the reading (the last one while
+    silent) by ``w_M = 1 / (1 + exp(xi - md))`` and updates on it. Each
+    present detector scores ``w_d = omega0 + omega (1 + tanh(d - lam))`` from
+    the distance ``d`` of its reading to the nearest other present reading
+    (0 alone), and gets the noise ``max(gamma w_d + delta w_M, cov_floor) I``.
+    The centre starts at the mean of the present experts' positions, then
+    measures each present expert's positions with that noise, in information
+    form, so that every inverse it takes is 8x8. An expert's covariance
+    follows from its hits and misses since it (re)started alone, so experts
+    with one such history share its covariances."""
+    with mpmath.workdps(dps):
+        mpf, eye = mpmath.mpf, mpmath.eye
+        dt, q = mpf(dt), mpf(accel_var)
+
+        def axes(block):  # block (x) I_4
+            out = mpmath.zeros(8)
+            for i, j, a in np.ndindex(2, 2, 4):
+                out[4 * i + a, 4 * j + a] = block[i][j]
+            return out
+
+        A = axes([[1, dt], [0, 1]])
+        Q = axes([[q * dt**4 / 4, q * dt**3 / 2], [q * dt**3 / 2, q * dt**2]])
+        C = mpmath.matrix([[int(a == b) for b in range(8)] for a in range(4)])
+        At, Ct, CtC = A.T, C.T, C.T * C
+        R, P0 = mpf(meas_var) * eye(4), mpf(init_var) * eye(8)
+        xi, omega0, omega, lam = map(mpf, (xi, omega0, omega, lam))
+        steps = {(): (P0, None, None)}  # hits since a (re)start -> (P, S^-1, gain)
+        experts, centre, fused = [None] * len(gamma), None, []
+        for frame in readings:
+            ys = [None if y is None else mpmath.matrix([mpf(float(v)) for v in y])
+                  for y in frame]
+            present = [i for i, y in enumerate(ys) if y is not None]
+            rvv, positions = {}, {}
+            for i, y in enumerate(ys):
+                if experts[i] is None:
+                    if y is None:
+                        continue
+                    experts[i] = (Ct * y, (), y, 0)
+                m, hits, last, misses = experts[i]
+                if y is not None and misses >= stale_after:
+                    hits = ()
+                hits += (y is not None,)
+                if hits not in steps:
+                    P = A * steps[hits[:-1]][0] * At + Q
+                    CP = C * P
+                    S_inv = mpmath.inverse(CP * Ct + R)
+                    K = CP.T * S_inv  # P C^T S^-1, P symmetric
+                    steps[hits] = (P - K * CP if hits[-1] else P, S_inv, K)
+                _, S_inv, K = steps[hits]
+                m = A * m
+                r = (last if y is None else y) - C * m
+                w_m = 1 / (1 + mpmath.exp(xi - mpmath.sqrt((r.T * S_inv * r)[0])))
+                if y is None:
+                    experts[i] = (m, hits, last, misses + 1)
+                    continue
+                m = m + K * r
+                experts[i], positions[i] = (m, hits, y, 0), C * m
+                d = min((mpmath.norm(y - ys[j]) for j in present if j != i), default=mpf(0))
+                w_d = omega0 + omega * (1 + mpmath.tanh(d - lam))
+                rvv[i] = max(mpf(gamma[i]) * w_d + mpf(delta[i]) * w_m, mpf(cov_floor))
+            if centre is None:
+                if not present:
+                    fused.append(None)
+                    continue
+                centre = (Ct * sum((positions[i] for i in present), mpmath.zeros(4, 1))
+                          / len(present), P0)
+            m, P = centre
+            m, P = A * m, A * P * At + Q
+            if present:
+                info = mpmath.inverse(P)
+                vec = info * m
+                for i in present:
+                    info += CtC / rvv[i]
+                    vec += Ct * positions[i] / rvv[i]
+                P = mpmath.inverse(info)
+                m = P * vec
+            centre = (m, P)
+            fused.append(np.array([float(v) for v in m]))
+        return fused

@@ -370,14 +370,15 @@ class TestConfigKeysAndValues:
     @pytest.mark.parametrize("command", ["fuse", "simulate", "sweep"])
     @pytest.mark.parametrize("line, named", [
         ("expert.confidence = 1", "expert.confidence: confidence must be in (0, 1), got 1.0"),
-        ("filter.meas_var = -1", "filter.meas_var: meas_var must be >= 0, got -1.0"),
-        ("filter.dt = 0", "filter.dt: dt must be positive and finite, got 0.0"),
-        ("filter.init_var = -5", "filter.init_var: init_var must be positive, got -5.0"),
+        ("filter.meas_var = -1", "filter.meas_var: meas_var must be >= 0 and finite, got -1.0"),
+        ("filter.dt = 0", "filter.dt: dt must be > 0 and finite, got 0.0"),
+        ("filter.init_var = -5", "filter.init_var: init_var must be > 0 and finite, got -5.0"),
         ("filter.init_var = 1e308", "filter.init_var: init_var overflows 2 * init_var, "
                                     "got 1e+308"),
         ("vote.lambda = -1", "vote.lambda: lam must be >= 0 and finite, got -1.0"),
-        ("fusion.cov_floor = 0", "fusion.cov_floor: cov_floor must be > 0, got 0.0"),
-        ("fusion.stale_after = 0", "fusion.stale_after: stale_after must be >= 1, got 0"),
+        ("fusion.cov_floor = 0", "fusion.cov_floor: cov_floor must be > 0 and finite, got 0.0"),
+        ("fusion.stale_after = 0", "fusion.stale_after: stale_after must be an integer >= 1, "
+                                   "got 0"),
         ("vote.omega = 1e308", "vote.omega: omega overflows the largest vote penalty "
                                "omega0 + 2 * omega, got 1e+308"),
         ("fusion.gamma = 1e308", "fusion.gamma: gamma overflows the largest noise scale "
@@ -397,15 +398,16 @@ class TestConfigKeysAndValues:
         assert (rc, err) == (2, f"error: {named}\n")
 
     @pytest.mark.parametrize("line, named", [
-        ("run.dt = -1", "run.dt: dt must be > 0, got -1.0"),
-        ("run.frames = 0", "run.frames: frames must be >= 1, got 0"),
-        ("run.seed = -1", "run.seed: seed must be a nonnegative integer, got -1"),
-        ("plant.damping = -1", "plant.damping: damping must be >= 0, got -1.0"),
-        ("setpoint.period = 0", "setpoint.period: period must be >= 1, got 0"),
-        ("sensor.2.meas_var = -1", "sensor.2.meas_var: meas_var must be >= 0, got -1.0"),
-        ("sensor.2.noise_sigma = -4", "sensor.2.noise_sigma: noise_sigma must be >= 0, got -4.0"),
-        ("fusion.gamma.2 = -1", "fusion.gamma, fusion.gamma.2: gamma entries must be > 0 and "
-                                "finite"),
+        ("run.dt = -1", "run.dt: dt must be > 0 and finite, got -1.0"),
+        ("run.frames = 0", "run.frames: frames must be an integer >= 1, got 0"),
+        ("run.seed = -1", "run.seed: seed must be an integer >= 0, got -1"),
+        ("plant.damping = -1", "plant.damping: damping must be >= 0 and finite, got -1.0"),
+        ("setpoint.period = 0", "setpoint.period: period must be an integer >= 1, got 0"),
+        ("sensor.2.meas_var = -1", "sensor.2.meas_var: meas_var must be >= 0 and finite, got -1.0"),
+        ("sensor.2.noise_sigma = -4", "sensor.2.noise_sigma: noise_sigma must be >= 0 and finite, "
+                                      "got -4.0"),
+        # A per-detector gain names its own key, not the valid base gain beside it.
+        ("fusion.gamma.2 = -1", "fusion.gamma.2: gamma must be > 0 and finite, got -1.0"),
         ("vote.omega = 9e307", "vote.omega: omega overflows the largest vote penalty "
                                "omega0 + 2 * omega, got 9e+307"),
         ("fusion.gamma.2 = 1e308", "fusion.gamma.2: gamma overflows the largest noise scale "
@@ -421,6 +423,17 @@ class TestConfigKeysAndValues:
                                                                 named):
         rc, err = self.run(tmp_path, capsys, "simulate", SMALL_SCENARIO + line + "\n")
         assert (rc, err) == (2, f"error: {named}\n")
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--grid", "filter.accel_var=1,5"]],
+                             ids=["simulate", "sweep"])
+    def test_negative_seed_flag_exits_2_naming_the_flag(self, small_scenario, tmp_path, capsys,
+                                                        argv):
+        # The bad value came from --seed; run.seed holds a valid 3.
+        out = tmp_path / "o.csv"
+        rc = main(argv + ["--config", small_scenario, "--seed", "-1", "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: --seed must be an integer >= 0, got -1\n")
+        assert not out.exists()
 
     def test_fuse_refuses_keys_it_does_not_read_naming_the_first_line(self, tmp_path, capsys):
         rc, err = self.run(tmp_path, capsys, "fuse",

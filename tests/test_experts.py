@@ -582,9 +582,9 @@ class TestRefusals:
         pytest.param(lambda: mahalanobis([0.0, 0.0], [0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
                      r"non-finite input to mahalanobis", id="cov-nonfinite"),
         pytest.param(lambda: ExpertConfig(xi=0.0),
-                     r"xi must be positive and finite, got 0.0", id="xi"),
+                     r"xi must be > 0 and finite, got 0.0", id="xi"),
         pytest.param(lambda: Expert(build_track_model(), stale_after=0),
-                     r"stale_after must be >= 1, got 0", id="stale-after"),
+                     r"stale_after must be an integer >= 1, got 0", id="stale-after"),
     ])
     def test_bad_input_is_refused_naming_its_check(self, call, message):
         with pytest.raises(ContractViolationError, match=message):

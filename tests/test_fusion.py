@@ -153,7 +153,7 @@ class TestFusionCenterBasics:
             FusionCenter(build_track_model(), 2)
 
     @pytest.mark.parametrize("init_var, message", [
-        (0.0, "init_var must be positive, got 0.0"),
+        (0.0, "init_var must be > 0 and finite, got 0.0"),
         (1e308, r"init_var overflows 2 \* init_var, got 1e\+308"),
     ], ids=["zero", "overflowing"])
     def test_bad_init_var_is_refused_at_construction(self, init_var, message):

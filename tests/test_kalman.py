@@ -577,9 +577,9 @@ class TestRefusals:
                                        LinearModel(**_tiny()), [1.0, 2.0]),
                      r"measurement shape \(2,\) != \(1,\)", id="measurement-shape"),
         pytest.param(lambda: build_cv_model(0, 1.0, 1.0, 1.0),
-                     r"n_axes must be >= 1, got 0", id="n-axes"),
+                     r"n_axes must be an integer >= 1, got 0", id="n-axes"),
         pytest.param(lambda: build_cv_model(1, 1.0, -1.0, 1.0),
-                     r"accel_var must be >= 0, got -1.0", id="accel-var"),
+                     r"accel_var must be >= 0 and finite, got -1.0", id="accel-var"),
     ])
     def test_bad_input_is_refused_naming_its_check(self, call, message):
         with pytest.raises(ContractViolationError, match=message):

@@ -9,6 +9,10 @@ and 32 detectors. Some configs set ``omega0 = 0`` with small ``omega`` and
 ``delta``, so the ``cov_floor`` engages. Each frame, the fused mean and each
 present detector's ``w_d``, ``w_M`` and ``rvv`` agree within the reference's
 ``ABS_TOL``/``REL_TOL``.
+
+A second oracle, ``oracles.mp_fused_means``, runs the same equations at 50
+significant digits. It can rank two float paths, so the pipeline's fused mean
+must stay within ``MP_BOUND`` of it.
 """
 
 import importlib.util
@@ -16,9 +20,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from habdf import ExpertConfig, FusionConfig, VoteConfig, build_cv_model, make_pipeline
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -110,3 +116,36 @@ class TestPipelineAgainstReference:
             floored += int((est.rvv_scale[present] == p["cov_floor"]).sum())
         if p["omega0"] == 0.0:
             assert floored, "the floor config never reached the floor"
+
+
+# The fused mean's error against the 50-digit run, as max |error| / max |mean|
+# per frame: at most 1.9e-13 over the eight runs below (n = 8, init_var 1e4,
+# floor config), so the bound has a margin of about 50. On the same runs
+# perfbench/reference.py is up to 2.8e-9 off.
+MP_BOUND = 1e-11
+
+
+class TestPipelineAgainst50Digits:
+    @pytest.mark.parametrize("floor", [False, True], ids=["default", "floor"])
+    @pytest.mark.parametrize("init_var", [1e2, 1e4])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_fused_mean_stays_near_the_50_digit_run(self, n, init_var, floor):
+        # The floor config also resets experts after a gap (stale_after 4).
+        config = FusionConfig(gamma=1.0, delta=0.01, cov_floor=0.2, stale_after=STALE_AFTER,
+                              vote=VoteConfig(0.0, 0.01, 5.0)) if floor else FusionConfig()
+        faults = [(FAULTS[i % len(FAULTS)], 2 + i, 8) for i in range(n)]
+        ys = readings(n, faults, 20, 7)
+        vote = config.vote
+        want = oracles.mp_fused_means(
+            ys, 1.0, 1.0, 25.0, init_var, config.expert.xi, vote.omega0, vote.omega, vote.lam,
+            *config.gains(n), config.cov_floor, config.stale_after)
+        pipe = make_pipeline(n, build_cv_model(4, 1.0, 1.0, 25.0), config, init_var)
+        floored = 0
+        for t, (y, mean) in enumerate(zip(ys, want)):
+            est = pipe.step(y)
+            assert (est is None) == (mean is None), t
+            if est is not None:
+                err = np.abs(est.state.mean - mean).max() / np.abs(mean).max()
+                assert err < MP_BOUND, (t, err)
+                floored += int((est.rvv_scale == config.cov_floor).sum())
+        assert floored or not floor, "the floor config never reached the floor"

@@ -338,29 +338,29 @@ class TestRefusals:
         pytest.param(lambda: plant_step([0.0, 0.0], SecondOrderPlant(1.0, 0.5), np.nan),
                      r"input must be finite, got nan", id="plant-input"),
         pytest.param(lambda: setpoint_profile("constant", 0),
-                     r"n must be >= 1, got 0", id="setpoint-n"),
+                     r"n must be an integer >= 1, got 0", id="setpoint-n"),
         pytest.param(lambda: FaultProfile(spike_mag=np.inf),
                      r"spike_mag must be finite", id="spike-mag"),
         pytest.param(lambda: inject_faults([0.0], FaultProfile(), -1),
-                     r"seed must be a nonnegative integer, got -1", id="inject-seed-negative"),
+                     r"seed must be an integer >= 0, got -1", id="inject-seed-negative"),
         pytest.param(lambda: inject_faults([0.0], FaultProfile(), 1.5),
-                     r"seed must be a nonnegative integer, got 1.5", id="inject-seed-fraction"),
+                     r"seed must be an integer >= 0, got 1.5", id="inject-seed-fraction"),
         pytest.param(lambda: inject_faults(np.zeros((2, 2)), FaultProfile()),
                      r"clean signal must be 1-D, got ndim=2", id="clean-not-1d"),
         pytest.param(lambda: inject_faults([0.0, np.nan], FaultProfile()),
                      r"clean signal contains non-finite entries", id="clean-nonfinite"),
         pytest.param(lambda: PidGains(1.0, 0.1, 0.0, dt=0.0),
-                     r"dt must be > 0, got 0.0", id="pid-dt"),
+                     r"dt must be > 0 and finite, got 0.0", id="pid-dt"),
         pytest.param(lambda: PidGains(np.inf, 0.1, 0.0, 1.0),
                      r"kp must be finite", id="pid-kp"),
         pytest.param(lambda: PidGains(1.0, 0.1, 0.0, 1.0, integral_limit=0.0),
-                     r"integral_limit must be > 0 or None, got 0.0", id="integral-limit"),
+                     r"integral_limit must be > 0, got 0.0", id="integral-limit"),
         pytest.param(lambda: pid_step(np.nan, PidState(), GAINS),
                      r"error must be finite, got nan", id="pid-error"),
         pytest.param(lambda: run_pan_loop(GAINS, 0),
-                     r"frames must be >= 1, got 0", id="pan-frames"),
+                     r"frames must be an integer >= 1, got 0", id="pan-frames"),
         pytest.param(lambda: run_pan_loop(GAINS, 10, plant_gain=0.0),
-                     r"plant_gain must be > 0, got 0.0", id="pan-plant-gain"),
+                     r"plant_gain must be > 0 and finite, got 0.0", id="pan-plant-gain"),
     ])
     def test_bad_input_is_refused_naming_its_check(self, call, message):
         with pytest.raises(ContractViolationError, match=message):
