@@ -52,16 +52,16 @@ _RULES = {
     "> 0": lambda v: v > 0,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1)": lambda v: 0 < v < 1,
-    "an integer": lambda v: abs(v) < math.inf and v % 1 == 0,
-    "an integer >= 0": lambda v: 0 <= v < math.inf and v % 1 == 0,
-    "an integer >= 1": lambda v: 1 <= v < math.inf and v % 1 == 0,
+    "an integer": lambda v: isinstance(v, numbers.Integral),
+    "an integer >= 0": lambda v: isinstance(v, numbers.Integral) and v >= 0,
+    "an integer >= 1": lambda v: isinstance(v, numbers.Integral) and v >= 1,
 }
 
 
 def _setting(name: str, value, rule: str):
     """``value`` as given if it is a real number keeping ``rule``, a key of _RULES
-    (an integer rule takes ``2.0``); anything else, a str, None or NaN included,
-    raises ContractViolationError "<name> must be <rule>, got <value>"."""
+    (an integer rule takes Python and numpy ints, not ``2.0``); anything else, a str,
+    None or NaN included, raises ContractViolationError "<name> must be <rule>, got <value>"."""
     if not (isinstance(value, numbers.Real) and _RULES[rule](value)):
         shown = value if isinstance(value, numbers.Real) else repr(value)
         raise ContractViolationError(f"{name} must be {rule}, got {shown}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -23,7 +22,7 @@ from .errors import ContractViolationError, _setting
 # Experts never call kf_update; the name stays bound here because
 # perfbench/tests/test_bench.py::TestTracer asserts that habdf.experts.kf_update is patched.
 from .kalman import (GaussianState, LinearModel, _BlockState, _cholesky, _cv_block_of,
-                     _cv_predict, _cv_update, _eye, _init_var, _trusted, kf_update)
+                     _cv_predict, _cv_update, _init_var, _trusted, kf_update)
 
 __all__ = [
     "mahalanobis",
@@ -104,7 +103,7 @@ def chi2_xi(dof: int, confidence: float = 0.95) -> float:
     _setting("confidence", confidence, "in (0, 1)")
     # scipy.stats' chi2.ppf is 2 * gammaincinv(dof / 2, q); calling it here keeps
     # scipy.stats, about half of the package's import time, out of the import.
-    return math.sqrt(2 * gammaincinv(int(dof) / 2, confidence))
+    return math.sqrt(2 * gammaincinv(dof / 2, confidence))
 
 
 @dataclass(frozen=True)
@@ -123,11 +122,12 @@ class ExpertConfig:
 
 @dataclass(frozen=True)
 class ExpertReport:
-    """One expert's per-frame output: posterior belief plus reliability score."""
+    """One expert's per-frame output: posterior belief, innovation variance ``s``
+    (the innovation covariance is ``s I_k``) and reliability score."""
 
     posterior: GaussianState
     predicted_meas: np.ndarray
-    innovation_cov: np.ndarray
+    s: float
     md: float
     w_M: float
     frame: int
@@ -136,17 +136,11 @@ class ExpertReport:
         if not isinstance(self.posterior, _BlockState):
             raise ContractViolationError("reports come from Expert.step, whose posterior is a "
                                          f"block state, got a {type(self.posterior).__name__}")
+        _setting("s", self.s, "> 0 and finite")
         if not (self.md >= 0 and math.isfinite(self.md)):
             raise ContractViolationError(f"md must be finite and >= 0, got {self.md}")
         if not (0.0 < self.w_M < 1.0):
             raise ContractViolationError(f"w_M must lie in (0, 1), got {self.w_M}")
-
-
-class _BlockReport(ExpertReport):
-    """A closed-form expert's report. It keeps the innovation variance ``s``
-    and builds ``innovation_cov = s I_k`` the first time something reads it."""
-
-    innovation_cov = cached_property(lambda r: r.s * _eye(len(r.predicted_meas)))
 
 
 class Expert:
@@ -218,7 +212,7 @@ class Expert:
             raise ContractViolationError(f"md must be finite and >= 0, got {md}")
         last_meas, misses = (self.last_meas, self.misses + 1) if y is None else (y, 0)
         # The expert's own values, checked above.
-        report = _trusted(_BlockReport, posterior=posterior, predicted_meas=mu, s=s, md=md,
+        report = _trusted(ExpertReport, posterior=posterior, predicted_meas=mu, s=s, md=md,
                           w_M=w, frame=frame)
         self.state, self.last_meas, self.misses, self.frame = posterior, last_meas, misses, frame
         return report

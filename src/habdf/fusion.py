@@ -131,7 +131,7 @@ class FusionCenter:
 
     def __init__(self, model: LinearModel, n_detectors: int,
                  config: FusionConfig | None = None, init_var: float = 1e4):
-        if n_detectors < 3:
+        if _setting("n_detectors", n_detectors, "an integer") < 3:
             raise InsufficientDetectorsError(
                 f"majority voting needs at least 3 detectors, got {n_detectors}"
             )
@@ -213,7 +213,8 @@ class FusionCenter:
 
 
 class Pipeline:
-    """Expert bank plus fusion center sharing one frame clock."""
+    """Expert bank plus fusion center sharing one frame clock. The center runs
+    model 0's dynamics, so the models may differ only in ``meas_var``."""
 
     def __init__(self, models, config: FusionConfig | None = None, init_var: float = 1e4):
         models = list(models)
@@ -221,9 +222,11 @@ class Pipeline:
             raise InsufficientDetectorsError(
                 f"majority voting needs at least 3 detectors, got {len(models)}"
             )
-        dims = {(m.state_dim, m.meas_dim) for m in models}
-        if len(dims) != 1:
-            raise ContractViolationError(f"expert models disagree on dimensions: {dims}")
+        first = _cv_block_of(models[0])
+        for i, m in enumerate(models):
+            if (b := _cv_block_of(m))._replace(r=first.r) != first:
+                raise ContractViolationError(f"models may differ only in meas_var, but model {i} "
+                                             f"has {b} and model 0 {first}")
         self.config = config or FusionConfig()
         self.experts = [
             Expert(m, self.config.expert, init_var, self.config.stale_after)
@@ -262,8 +265,9 @@ def make_pipeline(n_detectors: int, model, config: FusionConfig | None = None,
     """Build a bank of ``n_detectors`` experts plus the fusion center.
 
     ``model`` is one ``build_cv_model`` model shared by every detector, or a
-    sequence of per-detector ones agreeing on dimensions.
+    sequence of per-detector ones differing only in ``meas_var``.
     """
+    _setting("n_detectors", n_detectors, "an integer")
     if isinstance(model, LinearModel):
         models = [model] * n_detectors
     else:

@@ -366,7 +366,7 @@ def _per_detector(cfg: dict, n: int, base: str, indexed: str):
 
 
 # The last parts of the keys that an argument named in an error message reads.
-_ARG_KEYS = {"lam": {"lambda"}, "xi": {"confidence"}, "shock_window": {"shock_start", "shock_end"}}
+_ARG_KEYS = {"lam": {"lambda"}, "xi": {"confidence"}}
 
 
 def _naming_keys(build):
@@ -424,10 +424,9 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
         raise ConfigError("sensors.count is required for simulation configs")
     if count < 3:
         raise ConfigError(f"sensors.count must be >= 3, got {count}")
-    faults = tuple(FaultProfile(
-        **{f: cfg.get(f"sensor.{i}.{f}", 0.0) for f in _FAULT_FIELDS},
-        shock_window=(cfg.get(f"sensor.{i}.shock_start", 0), cfg.get(f"sensor.{i}.shock_end", 0)),
-    ) for i in range(1, count + 1))
+    names = (*_FAULT_FIELDS, "shock_start", "shock_end")  # an unset key takes FaultProfile's 0
+    faults = tuple(FaultProfile(**{f: cfg[k] for f in names if (k := f"sensor.{i}.{f}") in cfg})
+                   for i in range(1, count + 1))
     scenario = SimScenario(
         frames=cfg["run.frames"],
         plant=SecondOrderPlant(
@@ -444,7 +443,7 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
         accel_var=cfg["filter.accel_var"],
         meas_var=_per_detector(cfg, count, "filter.meas_var", "sensor.{}.meas_var"),
         init_var=cfg["filter.init_var"],
-        seed=cfg["run.seed"] if seed is None else int(seed),
+        seed=cfg["run.seed"] if seed is None else seed,
     )
     setpoint_profile(scenario.setpoint_kind, 1, period=scenario.setpoint_period)
     _pipeline(scenario)

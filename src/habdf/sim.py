@@ -130,16 +130,18 @@ class FaultProfile:
     spike_mag: float = 0.0
     drift_rate: float = 0.0
     shock_offset: float = 0.0
-    shock_window: tuple[int, int] = (0, 0)
+    shock_start: int = 0
+    shock_end: int = 0
 
     def __post_init__(self):
         _setting("noise_sigma", self.noise_sigma, ">= 0 and finite")
         _setting("spike_prob", self.spike_prob, "in [0, 1]")
         for name in ("spike_mag", "drift_rate", "shock_offset"):
             _setting(name, getattr(self, name), "finite")
-        start, end = self.shock_window
+        start, end = self.shock_start, self.shock_end
         if _setting("shock_start", start, "an integer") > _setting("shock_end", end, "an integer"):
-            raise ContractViolationError(f"shock_window must be ordered, got {self.shock_window}")
+            raise ContractViolationError("shock_start and shock_end must be ordered, "
+                                         f"got {start} and {end}")
 
 
 def inject_faults(clean, profile: FaultProfile, seed: int = 0) -> np.ndarray:
@@ -152,31 +154,29 @@ def inject_faults(clean, profile: FaultProfile, seed: int = 0) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ContractViolationError("clean signal contains non-finite entries")
     t = np.arange(x.shape[0])
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     y = x + rng.normal(0.0, profile.noise_sigma, x.shape[0])
     y = y + profile.spike_mag * (rng.random(x.shape[0]) < profile.spike_prob)
     y = y + profile.drift_rate * t
-    start, end = profile.shock_window
-    y = y + profile.shock_offset * ((t >= start) & (t < end))
+    y = y + profile.shock_offset * ((t >= profile.shock_start) & (t < profile.shock_end))
     return y
 
 
 @dataclass(frozen=True)
 class PidGains:
-    """Positional PID gains; ``integral_limit`` clamps |integral| (anti-windup)."""
+    """Positional PID gains; ``integral_limit``, inf by default, clamps |integral| (anti-windup)."""
 
     kp: float
     ki: float
     kd: float
     dt: float
-    integral_limit: float | None = None
+    integral_limit: float = math.inf
 
     def __post_init__(self):
         _setting("dt", self.dt, "> 0 and finite")
         for name in ("kp", "ki", "kd"):
             _setting(name, getattr(self, name), "finite")
-        if self.integral_limit is not None:  # None, like inf, clamps nothing
-            _setting("integral_limit", self.integral_limit, "> 0")
+        _setting("integral_limit", self.integral_limit, "> 0")
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,7 @@ def pid_step(error: float, state: PidState, gains: PidGains):
     if not math.isfinite(error):
         raise ContractViolationError(f"error must be finite, got {error}")
     integral = state.integral + 0.5 * (error + state.prev_error) * gains.dt
-    if gains.integral_limit is not None:
-        lim = gains.integral_limit
-        integral = min(max(integral, -lim), lim)
+    integral = min(max(integral, -gains.integral_limit), gains.integral_limit)
     derivative = (error - state.prev_error) / gains.dt
     command = gains.kp * error + gains.ki * integral + gains.kd * derivative
     return float(command), PidState(integral, error)
@@ -290,7 +288,7 @@ class SimResult:
 
 
 def _sensor_seeds(run_seed: int, n: int) -> list[int]:
-    children = np.random.SeedSequence(int(run_seed)).spawn(n)
+    children = np.random.SeedSequence(run_seed).spawn(n)
     return [int(c.generate_state(1)[0]) for c in children]
 
 

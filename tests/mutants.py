@@ -25,6 +25,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# errors._RULES' integer rules, which two mutants replace.
+_INTEGER_RULES = '''    "an integer": lambda v: isinstance(v, numbers.Integral),
+    "an integer >= 0": lambda v: isinstance(v, numbers.Integral) and v >= 0,
+    "an integer >= 1": lambda v: isinstance(v, numbers.Integral) and v >= 1,'''
+
 # (file under src/habdf, old text, new text, name)
 MUTANTS = [
     # The paper's noise law and the expert's reset.
@@ -50,7 +55,7 @@ MUTANTS = [
      "block-cov-p01-p11-swapped"),
     ("fusion.py", "parts.append(r.posterior.m0)", "parts.append(r.posterior.m1)",
      "centre-fuses-rates"),
-    # Scalar guards on Python floats, and the report's lazily built S.
+    # Scalar guards on Python floats.
     ("kalman.py", "ratio * ratio <= cond_limit and math.isfinite(sum(d))",
      "ratio * ratio <= cond_limit", "cholesky-without-nan-guard"),
     ("kalman.py", "if not math.isfinite(sum(y.tolist())) and not np.isfinite(y).all():",
@@ -58,8 +63,6 @@ MUTANTS = [
     ("experts.py", "    try:\n        w = 1.0 / (1.0 + math.exp(xi - md))\n"
      "    except OverflowError:  # exp past ~709.78: a weight below _W_LO\n        w = 0.0\n",
      "    w = 1.0 / (1.0 + math.exp(xi - md))\n", "local-weight-without-overflow-guard"),
-    ("experts.py", "r.s * _eye(len(r.predicted_meas))", "r.s * r.s * _eye(len(r.predicted_meas))",
-     "lazy-innovation-cov-s-squared"),
     # Settings refused, or stored as Python floats, where they are made, and the
     # per-detector gain lists.
     ("voting.py", "if not math.isfinite(self.omega0 + 2.0 * self.omega):",
@@ -98,16 +101,25 @@ MUTANTS = [
     ("experts.py", "if not np.isfinite(y).all():", "if False:",
      "first-reading-finite-check-dropped"),
     # One rule checks every numeric setting. Without its integer test, a count
-    # falls back to a bare comparison, which NaN passes; without its type test,
+    # falls back to a bare comparison, which NaN passes; with a whole-number
+    # test in its place, 2.0 passes and sizes an array; without its type test,
     # a str or None escapes as a TypeError.
-    ("errors.py", '''    "an integer": lambda v: abs(v) < math.inf and v % 1 == 0,
-    "an integer >= 0": lambda v: 0 <= v < math.inf and v % 1 == 0,
-    "an integer >= 1": lambda v: 1 <= v < math.inf and v % 1 == 0,''',
-     '''    "an integer": lambda v: True,
+    ("errors.py", _INTEGER_RULES, '''    "an integer": lambda v: True,
     "an integer >= 0": lambda v: not v < 0,
     "an integer >= 1": lambda v: not v < 1,''', "setting-count-accepts-nan"),
+    ("errors.py", _INTEGER_RULES, '''    "an integer": lambda v: abs(v) < math.inf and v % 1 == 0,
+    "an integer >= 0": lambda v: 0 <= v < math.inf and v % 1 == 0,
+    "an integer >= 1": lambda v: 1 <= v < math.inf and v % 1 == 0,''',
+     "setting-count-accepts-integral-float"),
     ("errors.py", "isinstance(value, numbers.Real) and _RULES[rule](value)",
      "_RULES[rule](value)", "setting-type-test-dropped"),
+    # One spelling of each value: a shock window is two ordered ints, a report
+    # holds the innovation variance s, and a bank shares detector 0's dynamics.
+    ("sim.py", '> _setting("shock_end", end, "an integer"):',
+     '> _setting("shock_end", end, "an integer") + math.inf:', "shock-ordering-dropped"),
+    ("experts.py", "predicted_meas=mu, s=s, md=md", "predicted_meas=mu, s=s * s, md=md",
+     "report-stores-s-squared"),
+    ("fusion.py", "._replace(r=first.r) != first", ".k != first.k", "bank-compares-axes-only"),
 ]
 
 

@@ -164,12 +164,12 @@ def test_criterion_3_planted_outlier_always_gets_largest_vote_weight():
         assert elapsed < 1.0
 
 
-def _report(model, box, w_M, md=0.5, frame=0):
+def _report(box, w_M, md=0.5, frame=0):
     box = np.asarray(box, dtype=float)
     return ExpertReport(
         posterior=_BlockState(box, np.zeros_like(box), (1.0, 0.0, 1.0)),
         predicted_meas=box,
-        innovation_cov=np.eye(model.C.shape[0]),
+        s=1.0,
         md=md,
         w_M=w_M,
         frame=frame,
@@ -192,8 +192,8 @@ def test_criterion_4_saturated_detector_excluded_within_tolerance():
             prior_cov = rng.uniform(20, 200) * np.eye(8)
             boxes = [prior_mean[:4] + rng.normal(0, 3, 4) for _ in range(n)]
             boxes[k] = prior_mean[:4] + rng.uniform(150, 300) * _unit(rng)
-            reports = [_report(model, b, w_M=0.2) for b in boxes]
-            reports[k] = _report(model, boxes[k], w_M=w_hi, md=99.0)
+            reports = [_report(b, w_M=0.2) for b in boxes]
+            reports[k] = _report(boxes[k], w_M=w_hi, md=99.0)
 
             with_it = FusionCenter(model, n, cfg)
             with_it.state = GaussianState(prior_mean, prior_cov)

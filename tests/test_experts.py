@@ -30,7 +30,7 @@ from habdf import (
     local_weight,
     mahalanobis,
 )
-from habdf.experts import _W_HI, _W_LO, _BlockReport
+from habdf.experts import _W_HI, _W_LO
 from habdf.kalman import _BlockState, _cholesky
 
 
@@ -200,16 +200,24 @@ class TestExpertReportContract:
     def test_rejects_out_of_range_weight(self):
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ContractViolationError, match="w_M must lie in"):
-                ExpertReport(self.STATE, np.zeros(1), np.eye(1), 0.0, bad, 0)
+                ExpertReport(self.STATE, np.zeros(1), 1.0, 0.0, bad, 0)
 
     def test_rejects_negative_md(self):
         with pytest.raises(ContractViolationError, match="md must be finite and >= 0"):
-            ExpertReport(self.STATE, np.zeros(1), np.eye(1), -1.0, 0.5, 0)
+            ExpertReport(self.STATE, np.zeros(1), 1.0, -1.0, 0.5, 0)
 
     @pytest.mark.parametrize("md", [np.inf, np.nan])
     def test_rejects_nonfinite_md(self, md):
         with pytest.raises(ContractViolationError, match="md must be finite and >= 0"):
-            ExpertReport(self.STATE, np.zeros(1), np.eye(1), md, 0.5, 0)
+            ExpertReport(self.STATE, np.zeros(1), 1.0, md, 0.5, 0)
+
+    @pytest.mark.parametrize("s, shown", [(0.0, "0.0"), (-1.0, "-1.0"), (np.inf, "inf"),
+                                          (np.nan, "nan"), (np.eye(1), "array([[1.]])")])
+    def test_rejects_an_innovation_variance_that_is_not_positive_and_finite(self, s, shown):
+        # The report holds the scalar s; the matrix s I_k is not a second spelling of it.
+        with pytest.raises(ContractViolationError,
+                           match=re.escape(f"s must be > 0 and finite, got {shown}")):
+            ExpertReport(self.STATE, np.zeros(1), s, 0.0, 0.5, 0)
 
     def test_rejects_a_plain_posterior_naming_expert_step(self):
         # The fusion centre reads a posterior's positions m0, which only the
@@ -217,8 +225,8 @@ class TestExpertReportContract:
         state = GaussianState(self.STATE.mean, self.STATE.cov)
         with pytest.raises(ContractViolationError,
                            match="reports come from Expert.step, .* got a GaussianState"):
-            ExpertReport(state, np.zeros(1), np.eye(1), 0.0, 0.5, 0)
-        assert ExpertReport(self.STATE, np.zeros(1), np.eye(1), 0.0, 0.5, 0).posterior is self.STATE
+            ExpertReport(state, np.zeros(1), 1.0, 0.0, 0.5, 0)
+        assert ExpertReport(self.STATE, np.zeros(1), 1.0, 0.0, 0.5, 0).posterior is self.STATE
 
 
 class TestBlockStateReports:
@@ -230,7 +238,7 @@ class TestBlockStateReports:
         exp = Expert(model, ExpertConfig(xi=chi2_xi(2, 0.95)), init_var=50.0, stale_after=2)
         for y in ([1.0, 2.0], None, None, [1.5, 2.5], [2.0, 3.0]):
             rep = exp.step(y)
-            assert type(rep) is _BlockReport and type(rep.posterior) is _BlockState
+            assert type(rep) is ExpertReport and type(rep.posterior) is _BlockState
             assert exp.state is rep.posterior
 
     def test_report_survives_deepcopy_and_pickle(self):
@@ -242,26 +250,18 @@ class TestBlockStateReports:
             assert (twin.md, twin.w_M, twin.frame) == (rep.md, rep.w_M, rep.frame)
             assert np.array_equal(twin.posterior.mean, rep.posterior.mean)
             assert np.array_equal(twin.posterior.cov, rep.posterior.cov)
-            assert np.array_equal(twin.innovation_cov, rep.innovation_cov)
+            assert twin.s == rep.s
 
-    def test_lazy_innovation_cov_is_s_times_identity_through_copies(self):
-        exp = Expert(build_track_model())
+    def test_report_holds_the_innovation_variance_of_the_public_path(self):
+        # s I_k is the innovation covariance C P C^T + Rvv of the predicted state.
+        model = build_track_model()
+        exp = Expert(model)
         exp.step([100.0, 80.0, 40.0, 30.0])
         exp.step(None)
+        pred = kf_predict(GaussianState(exp.state.mean, exp.state.cov), plain(model))
         rep = exp.step([103.0, 79.0, 41.0, 30.5])
-        s = rep.s
-        assert "innovation_cov" not in vars(rep)  # built on first read only
-        unread = [copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))]
-        want = s * np.eye(4)
-        assert rep.innovation_cov.tobytes() == want.tobytes()
-        assert rep.innovation_cov is rep.innovation_cov
-        read = [copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))]
-        for twin in unread + read:
-            assert type(twin) is _BlockReport and twin.s == s
-            assert twin.innovation_cov.tobytes() == want.tobytes()
-        # The public constructor still takes the matrix itself.
-        plain_rep = ExpertReport(rep.posterior, rep.predicted_meas, want, rep.md, rep.w_M, 2)
-        assert plain_rep.innovation_cov is want
+        S = model.C @ pred.cov @ model.C.T + model.Rvv
+        assert np.abs(rep.s * np.eye(4) - S).max() <= 1e-12 * rep.s
 
     @pytest.mark.parametrize("first, init_var", [
         ([np.nan, 1.0, 2.0, 3.0], 1e4),
@@ -507,7 +507,7 @@ class TestClosedFormStep:
             assert got.md == pytest.approx(md, rel=1e-9, abs=1e-11)
             assert got.w_M == pytest.approx(w_M, rel=1e-9)
             assert self.near(got.predicted_meas, mu, 1e-11, pred.mean)
-            assert self.near(got.innovation_cov, S, 1e-11)
+            assert self.near(got.s * np.eye(k), S, 1e-11)
             assert self.near(got.posterior.mean, post.mean, 1e-11)
             assert self.near(got.posterior.cov, post.cov, 1e-11)
             assert np.array_equal(got.posterior.cov, got.posterior.cov.T)

@@ -26,13 +26,13 @@ from habdf import (
     Pipeline,
     VoteConfig,
     adapt_rvv,
+    build_cv_model,
     build_track_model,
     kf_predict,
     kf_update,
     make_pipeline,
 )
 from habdf import fusion
-from habdf.experts import _BlockReport
 from habdf.kalman import COND_LIMIT, _BlockState, _cholesky
 
 W_HI = float(np.nextafter(1.0, 0.0))
@@ -42,7 +42,7 @@ def make_report(model, meas, frame=0, w_M=0.1, md=0.5):
     """Hand-built expert report whose posterior sits exactly at ``meas``."""
     meas = np.asarray(meas, dtype=float)
     post = _BlockState(meas, np.zeros_like(meas), (1.0, 0.0, 1.0))
-    return ExpertReport(post, meas, np.eye(model.meas_dim), md, w_M, frame)
+    return ExpertReport(post, meas, 1.0, md, w_M, frame)
 
 
 def plain(model):
@@ -254,8 +254,7 @@ class TestBlockStatePositions:
                 post = _BlockState(m0, rng.normal(0, 2, 4),
                                    (p00, rng.uniform(-0.9, 0.9) * np.sqrt(p00 * p11), p11))
                 meas.append(m0 + rng.normal(0, 3, 4))
-                reports.append(ExpertReport(post, m0, np.eye(4), 1.0, rng.uniform(0.01, 0.99),
-                                            frame))
+                reports.append(ExpertReport(post, m0, 1.0, 1.0, rng.uniform(0.01, 0.99), frame))
             prior = center.state
             est = center.step(reports, meas)
             present = [i for i, y in enumerate(meas) if y is not None]
@@ -325,8 +324,7 @@ class TestStackedNoiseBlock:
 class TestTrustedFields:
     """Per-frame values are built with kalman._trusted, which takes any
     keyword. Each must hold exactly its dataclass's fields, so a misspelled
-    one fails here rather than as a missing attribute later. A block report
-    holds ``s`` until its ``innovation_cov`` is first read."""
+    one fails here rather than as a missing attribute later."""
 
     def test_every_per_frame_value_holds_exactly_its_fields(self):
         pipe = make_pipeline(3, build_track_model(meas_var=9.0), init_var=100.0)
@@ -359,11 +357,9 @@ class TestTrustedFields:
             assert type(stacked) is LinearModel and vars(stacked).keys() == names[LinearModel]
         for rep in reports:
             post = vars(rep.posterior)
-            assert type(rep) is _BlockReport and type(rep.posterior) is _BlockState
-            assert vars(rep).keys() == names[ExpertReport] - {"innovation_cov"} | {"s"}
+            assert type(rep) is ExpertReport and type(rep.posterior) is _BlockState
+            assert vars(rep).keys() == names[ExpertReport]
             assert post.keys() == {"m0", "m1", "P"}
-            rep.innovation_cov
-            assert vars(rep).keys() == names[ExpertReport] | {"s"}
 
 
 class TestStackedOracleEquivalence:
@@ -511,10 +507,26 @@ class TestPipeline:
             make_pipeline(3, [build_track_model()] * 4)
 
     def test_mixed_model_dims_rejected(self):
-        from habdf import build_cv_model
         models = [build_track_model(), build_track_model(), build_cv_model(1, 1.0, 1.0, 1.0)]
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError,
+                           match=r"models may differ only in meas_var, but model 2 has .*k=1\)"):
             make_pipeline(3, models)
+
+    @pytest.mark.parametrize("i, model", [
+        (1, build_cv_model(1, 5.0, 1.0, 4.0)), (2, build_cv_model(1, 1.0, 2.0, 4.0)),
+    ], ids=["dt", "accel_var"])
+    def test_models_with_other_dynamics_rejected(self, i, model):
+        # The centre predicts with model 0's A and Rww, so every expert must too.
+        models = [build_cv_model(1, 1.0, 1.0, 4.0)] * 3
+        models[i] = model
+        with pytest.raises(ContractViolationError,
+                           match=rf"models may differ only in meas_var, but model {i} has "):
+            make_pipeline(3, models)
+
+    def test_models_may_differ_in_meas_var(self):
+        models = [build_cv_model(1, 1.0, 1.0, v) for v in (4.0, 9.0, 0.5)]
+        pipe = make_pipeline(3, models)
+        assert [e._block.r for e in pipe.experts] == [4.0, 9.0, 0.5]
 
     def test_nominal_run_keeps_noise_scales_tame(self):
         """Five healthy detectors: no adapted scale strays past 2x its

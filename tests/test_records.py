@@ -429,7 +429,7 @@ class TestScenarioFromConfig:
         )
         sc = scenario_from_config(cfg)
         assert sc.faults[2].shock_offset == -80.0
-        assert sc.faults[2].shock_window == (150, 260)
+        assert (sc.faults[2].shock_start, sc.faults[2].shock_end) == (150, 260)
         assert sc.faults[0].shock_offset == 0.0
 
     def test_scalar_meas_var_when_no_overrides(self):

@@ -120,7 +120,7 @@ class TestInjectFaults:
 
     def test_shock_is_window_limited(self):
         clean = np.zeros(100)
-        out = inject_faults(clean, FaultProfile(shock_offset=-7.0, shock_window=(20, 60)))
+        out = inject_faults(clean, FaultProfile(shock_offset=-7.0, shock_start=20, shock_end=60))
         assert np.all(out[:20] == 0.0)
         assert np.all(out[20:60] == -7.0)
         assert np.all(out[60:] == 0.0)
@@ -311,7 +311,7 @@ class TestRunSimExperiment:
             faults=(
                 FaultProfile(noise_sigma=1.0),
                 FaultProfile(noise_sigma=1.0),
-                FaultProfile(noise_sigma=1.0, shock_offset=-40.0, shock_window=(100, 160)),
+                FaultProfile(noise_sigma=1.0, shock_offset=-40.0, shock_start=100, shock_end=160),
             ),
             fusion=scalar_fusion(
                 vote=VoteConfig(omega0=1.0, omega=500.0, lam=30.0), gamma=10.0, delta=40.0,
@@ -341,6 +341,9 @@ class TestRefusals:
                      r"n must be an integer >= 1, got 0", id="setpoint-n"),
         pytest.param(lambda: FaultProfile(spike_mag=np.inf),
                      r"spike_mag must be finite", id="spike-mag"),
+        pytest.param(lambda: FaultProfile(shock_start=300, shock_end=100),
+                     r"^shock_start and shock_end must be ordered, got 300 and 100$",
+                     id="shock-unordered"),
         pytest.param(lambda: inject_faults([0.0], FaultProfile(), -1),
                      r"seed must be an integer >= 0, got -1", id="inject-seed-negative"),
         pytest.param(lambda: inject_faults([0.0], FaultProfile(), 1.5),
