@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, InsufficientDetectorsError, _setting
+from .errors import ContractViolationError, _setting
 from .experts import Expert, ExpertConfig
 from .kalman import (GaussianState, LinearModel, _cv_block_of, _init_var, _trusted, kf_predict,
                      kf_update)
-from .voting import VoteConfig, _nearest_peer, vote_weight
+from .voting import VoteConfig, _at_least_three, _nearest_peer, vote_weight
 
 __all__ = [
     "adapt_rvv",
@@ -131,10 +131,7 @@ class FusionCenter:
 
     def __init__(self, model: LinearModel, n_detectors: int,
                  config: FusionConfig | None = None, init_var: float = 1e4):
-        if _setting("n_detectors", n_detectors, "an integer") < 3:
-            raise InsufficientDetectorsError(
-                f"majority voting needs at least 3 detectors, got {n_detectors}"
-            )
+        _at_least_three(_setting("n_detectors", n_detectors, "an integer"))
         init_var = _init_var(init_var)
         _cv_block_of(model)
         self.model = model
@@ -204,8 +201,7 @@ class FusionCenter:
             q = len(rvv)
             R = np.zeros((q, q))
             R.ravel()[::q + 1] = rvv
-            stacked = _trusted(LinearModel, A=model.A, B=model.B, C=self._c_stack[:q],
-                               Rww=model.Rww, Rvv=R)
+            stacked = _trusted(LinearModel, A=model.A, C=self._c_stack[:q], Rww=model.Rww, Rvv=R)
             post = kf_update(post, stacked, np.concatenate(parts))[0]
         self.state, self.frame = post, frame
         return _trusted(FusedEstimate, state=post, w_d=w_d, w_M=np.array(w_m), rvv_scale=scale,
@@ -218,10 +214,7 @@ class Pipeline:
 
     def __init__(self, models, config: FusionConfig | None = None, init_var: float = 1e4):
         models = list(models)
-        if len(models) < 3:
-            raise InsufficientDetectorsError(
-                f"majority voting needs at least 3 detectors, got {len(models)}"
-            )
+        _at_least_three(len(models))
         first = _cv_block_of(models[0])
         for i, m in enumerate(models):
             if (b := _cv_block_of(m))._replace(r=first.r) != first:
@@ -267,7 +260,7 @@ def make_pipeline(n_detectors: int, model, config: FusionConfig | None = None,
     ``model`` is one ``build_cv_model`` model shared by every detector, or a
     sequence of per-detector ones differing only in ``meas_var``.
     """
-    _setting("n_detectors", n_detectors, "an integer")
+    _at_least_three(_setting("n_detectors", n_detectors, "an integer"))
     if isinstance(model, LinearModel):
         models = [model] * n_detectors
     else:

@@ -95,14 +95,12 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Discrete linear state-space model x' = A x + B u + w, y = C x + v.
+    """Discrete linear state-space model x' = A x + w, y = C x + v.
 
     ``Rww`` and ``Rvv`` are the process and measurement noise covariances.
-    ``B`` may have zero columns when there is no control input.
     """
 
     A: np.ndarray
-    B: np.ndarray
     C: np.ndarray
     Rww: np.ndarray
     Rvv: np.ndarray
@@ -115,9 +113,6 @@ class LinearModel:
         n = A.shape[0]
         if A.shape != (n, n):
             raise ContractViolationError(f"A must be square, got {A.shape}")
-        B = _as_matrix(self.B, "B")
-        if B.shape[0] != n:
-            raise ContractViolationError(f"B rows {B.shape[0]} != state dim {n}")
         C = _as_matrix(self.C, "C")
         if C.shape[1] != n:
             raise ContractViolationError(f"C cols {C.shape[1]} != state dim {n}")
@@ -128,7 +123,7 @@ class LinearModel:
         Rvv = _check_psd(_as_matrix(self.Rvv, "Rvv"), "Rvv")
         if Rvv.shape != (p, p):
             raise ContractViolationError(f"Rvv shape {Rvv.shape} != ({p}, {p})")
-        for name, val in (("A", A), ("B", B), ("C", C), ("Rww", Rww), ("Rvv", Rvv)):
+        for name, val in (("A", A), ("C", C), ("Rww", Rww), ("Rvv", Rvv)):
             object.__setattr__(self, name, val)
 
     @property
@@ -140,22 +135,22 @@ class LinearModel:
         return self.C.shape[0]
 
 
-def _cholesky(S: np.ndarray, cond_limit: float = np.inf) -> np.ndarray:
+def _cholesky(S: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``S`` (upper triangle zero; only the lower
     triangle of ``S`` is read). Raises DegenerateGeometryError, carrying
-    cond(S), if the factorisation fails or its squared diagonal ratio exceeds
-    ``cond_limit``; cond(S) is computed on that error path only, and is inf
-    for an ``S`` with non-finite entries."""
+    cond(S), if the factorisation fails; cond(S) is computed on that error
+    path only, and is inf for an ``S`` with non-finite entries."""
     # LAPACK potrf directly: np.linalg.cholesky's wrapper costs several times
     # the 4x4 factorisation.
-    return _check_factor(S, *dpotrf(S, lower=1), cond_limit)
+    return _check_factor(S, *dpotrf(S, lower=1), np.inf)
 
 
 def _check_factor(S: np.ndarray, L: np.ndarray, info: int, cond_limit: float) -> np.ndarray:
-    """``L``, the factor of ``S`` LAPACK returned with ``info``, unless
-    ``_cholesky`` would refuse it. OpenBLAS can pass a NaN with info 0; the NaN
-    then reaches the diagonal. The ratio test runs on Python floats, whose min
-    and max skip a NaN that does not come first, so the sum refuses it there."""
+    """``L``, the factor of ``S`` LAPACK returned with ``info``, unless it failed
+    or its squared diagonal ratio exceeds ``cond_limit``. OpenBLAS can pass a
+    NaN with info 0; the NaN then reaches the diagonal. The ratio test runs on
+    Python floats, whose min and max skip a NaN that does not come first, so
+    the sum refuses it there."""
     if info == 0:
         d = L.diagonal().tolist()
         ratio = max(d) / min(d)
@@ -175,26 +170,13 @@ def _trusted(cls, **fields):
     return obj
 
 
-def kf_predict(state: GaussianState, model: LinearModel, control=None) -> GaussianState:
-    """Time update: propagate mean through A (plus B u) and inflate covariance.
-
-    ``control`` of None means no input term; otherwise its length must match
-    B's column count.
-    """
+def kf_predict(state: GaussianState, model: LinearModel) -> GaussianState:
+    """Time update: propagate the mean through A and inflate the covariance."""
     if state.dim != model.state_dim:
         raise ContractViolationError(
             f"state dim {state.dim} != model state dim {model.state_dim}"
         )
     mean = model.A @ state.mean
-    if control is not None:
-        u = np.asarray(control, dtype=float)
-        if u.shape != (model.B.shape[1],):
-            raise ContractViolationError(
-                f"control shape {u.shape} != ({model.B.shape[1]},)"
-            )
-        if not np.isfinite(u).all():
-            raise ContractViolationError("control contains non-finite entries")
-        mean = mean + model.B @ u
     cov = model.A @ state.cov @ model.A.T + model.Rww
     return _trusted(GaussianState, mean=mean, cov=0.5 * (cov + cov.T))
 
@@ -233,7 +215,7 @@ def kf_update(state: GaussianState, model: LinearModel, y):
     innovation = y - C @ mean
     # LAPACK posv: potrf then potrs in one call, without the checks of
     # cho_factor and cho_solve, which cost more; the factor is checked as in
-    # _cholesky.
+    # _cholesky, and also refused past COND_LIMIT.
     L, K, info = dposv(S, CP, lower=1)
     _check_factor(S, L, info, COND_LIMIT)
     K = K.T
@@ -330,7 +312,7 @@ def build_cv_model(n_axes: int, dt: float, accel_var: float, meas_var: float) ->
     the discrete white-noise-acceleration model: a random per-step
     acceleration a with variance ``accel_var`` enters as position += a dt^2/2,
     velocity += a dt. Measurements are the positions with isotropic variance
-    ``meas_var``; there is no control input.
+    ``meas_var``.
 
     Every matrix is the Kronecker product of one 2x2 axis block with I_k. The
     model carries that block, and experts on it filter the block in closed
@@ -348,12 +330,11 @@ def build_cv_model(n_axes: int, dt: float, accel_var: float, meas_var: float) ->
     eye = np.eye(k)
     model = LinearModel(
         np.kron([[1.0, b.dt], [0.0, 1.0]], eye),
-        np.zeros((2 * k, 1)),  # kept in the generic API; no control here
         np.kron([[1.0, 0.0]], eye),
         np.kron([[b.q00, b.q01], [b.q01, b.q11]], eye),
         np.kron([[b.r]], eye),
     )
-    for name in ("A", "B", "C", "Rww", "Rvv"):
+    for name in ("A", "C", "Rww", "Rvv"):
         getattr(model, name).flags.writeable = False
     object.__setattr__(model, "_cv_block", b)
     return model

@@ -416,6 +416,12 @@ def _fusion_from_config(cfg: dict, n: int, dof: int, reads=None) -> FusionConfig
 
 
 @_naming_keys
+def _fault_profile(keys: dict) -> FaultProfile:
+    """A sensor's FaultProfile from its own ``sensor.<i>.*`` keys, which alone a refusal names."""
+    return FaultProfile(**{k.rpartition(".")[2]: v for k, v in keys.items()})
+
+
+@_naming_keys
 def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
     """Build the simulation scenario; requires sensors.count >= 3. A value the
     scenario or its run refuses raises ConfigError naming its key."""
@@ -425,7 +431,7 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
     if count < 3:
         raise ConfigError(f"sensors.count must be >= 3, got {count}")
     names = (*_FAULT_FIELDS, "shock_start", "shock_end")  # an unset key takes FaultProfile's 0
-    faults = tuple(FaultProfile(**{f: cfg[k] for f in names if (k := f"sensor.{i}.{f}") in cfg})
+    faults = tuple(_fault_profile({k: cfg[k] for f in names if (k := f"sensor.{i}.{f}") in cfg})
                    for i in range(1, count + 1))
     scenario = SimScenario(
         frames=cfg["run.frames"],

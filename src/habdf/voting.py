@@ -70,19 +70,19 @@ def box_distance(p, r) -> float:
 
 
 def consensus_distance(boxes, i: int) -> float:
-    """Distance from box ``i`` to its nearest peer among ``boxes``.
-
-    Majority voting needs at least 3 detectors; fewer raises
-    InsufficientDetectorsError.
-    """
-    n = len(boxes)
-    if n < 3:
-        raise InsufficientDetectorsError(
-            f"majority voting needs at least 3 detectors, got {n}"
-        )
+    """Distance from box ``i`` to its nearest peer among ``boxes``; fewer
+    than 3 boxes raise InsufficientDetectorsError."""
+    n = _at_least_three(len(boxes))
     if not (0 <= i < n):
         raise ContractViolationError(f"index {i} out of range for {n} boxes")
     return _nearest_peer(boxes, i)
+
+
+def _at_least_three(n: int) -> int:
+    """``n``, a detector count, unless it is too few for majority voting."""
+    if n < 3:
+        raise InsufficientDetectorsError(f"majority voting needs at least 3 detectors, got {n}")
+    return n
 
 
 def _nearest_peer(boxes, i: int) -> float:

@@ -120,6 +120,8 @@ MUTANTS = [
     ("experts.py", "predicted_meas=mu, s=s, md=md", "predicted_meas=mu, s=s * s, md=md",
      "report-stores-s-squared"),
     ("fusion.py", "._replace(r=first.r) != first", ".k != first.k", "bank-compares-axes-only"),
+    # One helper owns the three-detector minimum of the vote, the centre and the bank.
+    ("voting.py", "if n < 3:", "if n < 2:", "two-detectors-accepted"),
 ]
 
 

@@ -15,11 +15,9 @@ import mpmath
 import numpy as np
 
 
-def naive_predict(mean, cov, A, Rww, B=None, u=None):
+def naive_predict(mean, cov, A, Rww):
     """Textbook time update with plain matrix products."""
     mean = A @ mean
-    if B is not None and u is not None:
-        mean = mean + B @ u
     cov = A @ cov @ A.T + Rww
     return mean, cov
 

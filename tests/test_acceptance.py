@@ -56,16 +56,12 @@ def test_criterion_1_filter_matches_naive_oracles():
         t0 = time.perf_counter()
 
         a, q, c, r = 0.93, 0.4, 1.7, 0.6
-        model = LinearModel(
-            A=[[a]], B=[[0.5]], C=[[c]], Rww=[[q]], Rvv=[[r]],
-        )
+        model = LinearModel(A=[[a]], C=[[c]], Rww=[[q]], Rvv=[[r]])
         state = GaussianState([0.3], [[2.0]])
         o_mean, o_cov = np.array([0.3]), np.array([[2.0]])
         for _ in range(50):
-            u = rng.normal(0, 1, 1)
-            state = kf_predict(state, model, control=u)
-            o_mean, o_cov = oracles.naive_predict(
-                o_mean, o_cov, model.A, model.Rww, model.B, u)
+            state = kf_predict(state, model)
+            o_mean, o_cov = oracles.naive_predict(o_mean, o_cov, model.A, model.Rww)
             np.testing.assert_allclose(state.mean, o_mean, atol=1e-9)
             np.testing.assert_allclose(state.cov, o_cov, atol=1e-9)
             y = rng.normal(0, 3, 1)

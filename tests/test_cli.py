@@ -411,6 +411,11 @@ class TestConfigKeysAndValues:
          "sensor.2.shock_start = 300\nsensor.2.shock_end = 100",
          "sensor.2.shock_start, sensor.2.shock_end: shock_start and shock_end must be ordered, "
          "got 300 and 100"),
+        # Nor a key of a valid window that holds the same number.
+        ("sensor.1.shock_start = 300\nsensor.1.shock_end = 400\n"
+         "sensor.2.shock_start = 300\nsensor.2.shock_end = 100",
+         "sensor.2.shock_start, sensor.2.shock_end: shock_start and shock_end must be ordered, "
+         "got 300 and 100"),
         # A per-detector gain names its own key, not the valid base gain beside it.
         ("fusion.gamma.2 = -1", "fusion.gamma.2: gamma must be > 0 and finite, got -1.0"),
         ("vote.omega = 9e307", "vote.omega: omega overflows the largest vote penalty "

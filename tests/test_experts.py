@@ -423,7 +423,7 @@ class TestAtomicExpertStep:
 
 def plain(model):
     """The same matrices as a general LinearModel, which carries no axis block."""
-    return LinearModel(model.A, model.B, model.C, model.Rww, model.Rvv)
+    return LinearModel(model.A, model.C, model.Rww, model.Rvv)
 
 
 def public_step(model, config, init_var, stale_after, expert, y):

@@ -47,7 +47,7 @@ def make_report(model, meas, frame=0, w_M=0.1, md=0.5):
 
 def plain(model):
     """The same matrices as a general LinearModel, which carries no axis block."""
-    return LinearModel(model.A, model.B, model.C, model.Rww, model.Rvv)
+    return LinearModel(model.A, model.C, model.Rww, model.Rvv)
 
 
 class TestAdaptRvv:
@@ -221,7 +221,7 @@ class TestGeneralModelRefused:
             build(plain(model))
 
     def test_identity_model_is_refused(self):
-        model = LinearModel(np.eye(4), np.zeros((4, 1)), np.eye(4), np.eye(4), np.eye(4))
+        model = LinearModel(np.eye(4), np.eye(4), np.eye(4), np.eye(4))
         for build in (Expert, lambda m: FusionCenter(m, 3), lambda m: make_pipeline(3, m)):
             with pytest.raises(ContractViolationError, match="build_cv_model models only"):
                 build(model)
@@ -269,7 +269,7 @@ class TestBlockStatePositions:
             want = kf_predict(prior, general)
             if present:
                 R = np.diag(np.repeat(est.rvv_scale[present], 4))
-                stacked = LinearModel(general.A, general.B, np.vstack([general.C] * len(present)),
+                stacked = LinearModel(general.A, np.vstack([general.C] * len(present)),
                                       general.Rww, R)
                 want = kf_update(want, stacked, np.concatenate(parts))[0]
             assert est.coasting == (not present)
@@ -313,7 +313,7 @@ class TestStackedNoiseBlock:
                 present = [i for i, m in enumerate(meas) if m is not None]
                 R = np.diag(np.repeat(est.rvv_scale[present], 4))
                 assert stacked.Rvv.tobytes() == R.tobytes()
-                explicit = LinearModel(stacked.A, stacked.B, stacked.C, stacked.Rww, R)
+                explicit = LinearModel(stacked.A, stacked.C, stacked.Rww, R)
                 want = kf_update(pred, explicit, y)[0]
                 assert est.state.mean.tobytes() == want.mean.tobytes()
                 assert est.state.cov.tobytes() == want.cov.tobytes()
@@ -498,9 +498,12 @@ class TestPipeline:
         assert pipe.center.n_detectors == 3
         assert pipe.n_detectors == 3
 
-    def test_two_detectors_rejected(self):
-        with pytest.raises(InsufficientDetectorsError):
-            make_pipeline(2, build_track_model())
+    @pytest.mark.parametrize("n", [2, -1])
+    def test_too_few_detectors_rejected_naming_the_count_passed(self, n):
+        # Refused before [model] * n, which would turn -1 into an empty bank.
+        with pytest.raises(InsufficientDetectorsError,
+                           match=f"^majority voting needs at least 3 detectors, got {n}$"):
+            make_pipeline(n, build_track_model())
 
     def test_model_list_length_must_match(self):
         with pytest.raises(ContractViolationError):

@@ -23,18 +23,17 @@ from habdf import (
     kf_update,
 )
 from habdf import kalman
-from habdf.kalman import COND_LIMIT, _BlockState, _cholesky
+from habdf.kalman import COND_LIMIT, _BlockState, _check_factor, _cholesky
 
 
 def random_model(rng, n, p):
     A = rng.normal(0, 0.5, (n, n)) + np.eye(n)
-    B = rng.normal(0, 1, (n, 1))
     C = rng.normal(0, 1, (p, n))
     Lw = rng.normal(0, 0.4, (n, n))
     Lv = rng.normal(0, 0.4, (p, p))
     Rww = Lw @ Lw.T + 0.1 * np.eye(n)
     Rvv = Lv @ Lv.T + 0.1 * np.eye(p)
-    return LinearModel(A, B, C, Rww, Rvv)
+    return LinearModel(A, C, Rww, Rvv)
 
 
 def random_state(rng, n):
@@ -120,23 +119,18 @@ class TestBlockState:
 
 
 class TestLinearModel:
-    def test_rejects_mismatched_dims(self):
-        with pytest.raises(ContractViolationError):
-            LinearModel(np.eye(2), np.zeros((3, 1)), np.eye(2), np.eye(2), np.eye(2))
-
     def test_rejects_nonpsd_noise(self):
         with pytest.raises(ContractViolationError):
-            LinearModel(np.eye(2), np.zeros((2, 1)), np.eye(2), -np.eye(2), np.eye(2))
+            LinearModel(np.eye(2), np.eye(2), -np.eye(2), np.eye(2))
 
     def test_rejects_noise_that_overflows_when_symmetrized(self):
         with pytest.raises(ContractViolationError, match="Rww overflows when symmetrized"):
-            LinearModel(np.eye(1), np.zeros((1, 0)), np.eye(1), [[9e307]], np.eye(1))
+            LinearModel(np.eye(1), np.eye(1), [[9e307]], np.eye(1))
 
 
 class TestPredict:
     def test_identity_dynamics_is_identity(self):
-        model = LinearModel(np.eye(3), np.zeros((3, 1)), np.eye(3),
-                            np.zeros((3, 3)), np.eye(3))
+        model = LinearModel(np.eye(3), np.eye(3), np.zeros((3, 3)), np.eye(3))
         state = GaussianState([1.0, -2.0, 3.0], np.diag([1.0, 2.0, 3.0]))
         out = kf_predict(state, model)
         assert np.allclose(out.mean, state.mean)
@@ -146,12 +140,6 @@ class TestPredict:
         model = build_cv_model(1, 1.0, 0.0, 1.0)
         out = kf_predict(GaussianState([0.0, 1.0], np.eye(2)), model)
         assert np.allclose(out.mean, [1.0, 1.0])
-
-    def test_control_term_enters_mean(self):
-        model = LinearModel(np.eye(2), np.array([[1.0], [0.0]]), np.eye(2),
-                            np.zeros((2, 2)), np.eye(2))
-        out = kf_predict(GaussianState([0.0, 0.0], np.eye(2)), model, control=[3.0])
-        assert np.allclose(out.mean, [3.0, 0.0])
 
     def test_ten_steps_match_recursion_oracle(self):
         rng = np.random.default_rng(11)
@@ -172,15 +160,13 @@ class TestPredict:
 
 class TestUpdate:
     def test_near_exact_measurement_pulls_mean_to_y(self):
-        model = LinearModel(np.eye(2), np.zeros((2, 1)), np.eye(2),
-                            np.zeros((2, 2)), 1e-12 * np.eye(2))
+        model = LinearModel(np.eye(2), np.eye(2), np.zeros((2, 2)), 1e-12 * np.eye(2))
         state = GaussianState([0.0, 0.0], np.eye(2))
         post, _, _ = kf_update(state, model, [4.0, -1.0])
         assert np.allclose(post.mean, [4.0, -1.0], atol=1e-6)
 
     def test_scalar_halving_gain(self):
-        model = LinearModel(np.eye(1), np.zeros((1, 1)), np.eye(1),
-                            np.zeros((1, 1)), np.eye(1))
+        model = LinearModel(np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1))
         state = GaussianState([0.0], np.eye(1))
         post, innov, S = kf_update(state, model, [2.0])
         assert post.mean[0] == pytest.approx(1.0, abs=1e-12)
@@ -203,8 +189,7 @@ class TestUpdate:
             assert np.allclose(state.cov, P, atol=1e-9, rtol=1e-9)
 
     def test_singular_innovation_raises_with_condition(self):
-        model = LinearModel(np.eye(2), np.zeros((2, 1)),
-                            np.array([[1.0, 0.0], [1.0, 0.0]]),
+        model = LinearModel(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]),
                             np.zeros((2, 2)), np.zeros((2, 2)))
         state = GaussianState([0.0, 0.0], np.eye(2))
         with pytest.raises(DegenerateGeometryError) as exc:
@@ -216,7 +201,7 @@ class TestUpdate:
         # S still factors, so only the diagonal-ratio check can refuse it.
         C, P, R = np.array([[1.0], [1.0]]), np.array([[1e7]]), 1e-6 * np.eye(2)
         np.linalg.cholesky(C @ P @ C.T + R)
-        model = LinearModel(np.eye(1), np.zeros((1, 1)), C, np.zeros((1, 1)), R)
+        model = LinearModel(np.eye(1), C, np.zeros((1, 1)), R)
         with pytest.raises(DegenerateGeometryError) as exc:
             kf_update(GaussianState([0.0], P), model, [1.0, 1.0])
         assert exc.value.condition > 1e12
@@ -229,7 +214,7 @@ class TestUpdate:
         base = random_model(rng, n, p)
         C = np.vstack([base.C] * copies)
         R = np.diag(rng.uniform(0.1, 10.0, p * copies))
-        model = LinearModel(base.A, base.B, C, base.Rww, R)
+        model = LinearModel(base.A, C, base.Rww, R)
         state = random_state(rng, n)
         for _ in range(5):
             state = kf_predict(state, model)
@@ -252,7 +237,7 @@ class TestUpdate:
     def test_finite_measurement_whose_sum_overflows_is_accepted_without_warning(self):
         # The sum (and y . y) overflows to inf, so the scalar test fails and the
         # array test decides: every entry is finite, so the update runs.
-        model = LinearModel(np.eye(2), np.zeros((2, 1)), np.eye(2), np.zeros((2, 2)), np.eye(2))
+        model = LinearModel(np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))
         state = GaussianState([0.0, 0.0], np.eye(2))
         y = np.array([1e308, 1e308])
         with warnings.catch_warnings():
@@ -264,7 +249,7 @@ class TestUpdate:
     @pytest.mark.parametrize("bad", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, np.inf],
                                      [1e200, np.nan]])
     def test_nonfinite_measurement_refused_with_the_same_message(self, bad):
-        model = LinearModel(np.eye(2), np.zeros((2, 1)), np.eye(2), np.zeros((2, 2)), np.eye(2))
+        model = LinearModel(np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))
         with pytest.raises(ContractViolationError,
                            match="^measurement contains non-finite entries$"):
             kf_update(GaussianState([0.0, 0.0], np.eye(2)), model, bad)
@@ -278,7 +263,7 @@ class TestUpdate:
             base = random_model(rng, n, p)
             C = np.vstack([base.C] * copies)
             R = np.diag(rng.uniform(1e-3, 1e3, p * copies))
-            model = LinearModel(base.A, base.B, C, base.Rww, R)
+            model = LinearModel(base.A, C, base.Rww, R)
             state = kf_predict(random_state(rng, n), model)
             y = C @ state.mean + rng.normal(0, 3, C.shape[0])
             m, P = state.mean, state.cov
@@ -295,11 +280,11 @@ class TestUpdate:
 
     @staticmethod
     def _refused_alike(state, model, y):
-        """kf_update's error equals _cholesky's on the same S, message and cond."""
+        """kf_update's error equals _check_factor's at COND_LIMIT on one S: message and cond."""
         S = model.C @ state.cov @ model.C.T + model.Rvv
         S = 0.5 * (S + S.T)
         with pytest.raises(DegenerateGeometryError) as want:
-            _cholesky(S, COND_LIMIT)
+            _check_factor(S, *dpotrf(S, lower=1), COND_LIMIT)
         with pytest.raises(DegenerateGeometryError) as got:
             kf_update(state, model, y)
         assert (str(got.value), got.value.condition) == (str(want.value), want.value.condition)
@@ -307,22 +292,21 @@ class TestUpdate:
 
     def test_not_positive_definite_innovation_is_refused_as_by_cholesky(self):
         # A trusted model can carry an indefinite Rvv; S = diag(-1, 2) fails to factor.
-        model = kalman._trusted(LinearModel, A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2),
+        model = kalman._trusted(LinearModel, A=np.eye(2), C=np.eye(2),
                                 Rww=np.zeros((2, 2)), Rvv=np.diag([-2.0, 1.0]))
         err = self._refused_alike(GaussianState([0.0, 0.0], np.eye(2)), model, [1.0, 1.0])
         assert err.condition == pytest.approx(2.0, rel=1e-12)
 
     def test_factor_ratio_past_cond_limit_is_refused_as_by_cholesky(self):
         # S = diag(1e-7, 1e6) factors; only the squared diagonal ratio, 1e13, refuses it.
-        model = LinearModel(np.eye(2), np.zeros((2, 1)), np.eye(2), np.zeros((2, 2)),
-                            np.diag([1e-7, 1e6]))
+        model = LinearModel(np.eye(2), np.eye(2), np.zeros((2, 2)), np.diag([1e-7, 1e6]))
         err = self._refused_alike(GaussianState([0.0, 0.0], np.zeros((2, 2))), model, [1.0, 1.0])
         assert COND_LIMIT < err.condition < np.inf
 
     def test_nan_carrying_innovation_is_refused_as_by_cholesky(self):
         R = np.eye(4)
         R[2, 1] = R[1, 2] = np.nan
-        model = kalman._trusted(LinearModel, A=np.eye(4), B=np.zeros((4, 1)), C=np.eye(4),
+        model = kalman._trusted(LinearModel, A=np.eye(4), C=np.eye(4),
                                 Rww=np.zeros((4, 4)), Rvv=R)
         err = self._refused_alike(GaussianState(np.zeros(4), np.eye(4)), model, np.ones(4))
         assert err.condition == np.inf
@@ -333,7 +317,7 @@ class TestUpdate:
         L = np.diag([2.0, 3.0, 4.0, 5.0])
         L[at, at] = np.nan
         monkeypatch.setattr(kalman, "dposv", lambda S, b, lower: (L.copy(), b.copy(), 0))
-        model = LinearModel(np.eye(4), np.zeros((4, 1)), np.eye(4), np.zeros((4, 4)),
+        model = LinearModel(np.eye(4), np.eye(4), np.zeros((4, 4)),
                             np.diag([3.0, 8.0, 15.0, 24.0]))
         with pytest.raises(DegenerateGeometryError) as exc:
             kf_update(GaussianState(np.zeros(4), np.eye(4)), model, np.ones(4))
@@ -341,8 +325,7 @@ class TestUpdate:
 
     def test_update_never_inflates_observed_covariance(self):
         rng = np.random.default_rng(3)
-        model = LinearModel(np.eye(3), np.zeros((3, 1)), np.eye(3),
-                            0.1 * np.eye(3), 2.0 * np.eye(3))
+        model = LinearModel(np.eye(3), np.eye(3), 0.1 * np.eye(3), 2.0 * np.eye(3))
         state = random_state(rng, 3)
         post, _, _ = kf_update(state, model, rng.normal(0, 5, 3))
         assert np.trace(post.cov) <= np.trace(state.cov) + 1e-12
@@ -381,16 +364,16 @@ class TestCholesky:
         L = np.diag([2.0, 3.0, 4.0, 5.0])
         L[at, at] = np.nan
         monkeypatch.setattr(kalman, "dpotrf", lambda S, lower: (L.copy(), 0))
-        for limit in (np.inf, COND_LIMIT):
+        for factor in (lambda: _cholesky(S), lambda: _check_factor(S, L.copy(), 0, COND_LIMIT)):
             with pytest.raises(DegenerateGeometryError) as exc:
-                _cholesky(S, limit)
+                factor()
             assert exc.value.condition == np.linalg.cond(S)
 
     def test_factor_ratio_above_limit_raises_with_finite_condition(self):
         S = np.diag([1e-7, 1e6])  # squared diagonal ratio 1e13
         _cholesky(S)  # no limit: factors
         with pytest.raises(DegenerateGeometryError) as exc:
-            _cholesky(S, COND_LIMIT)
+            _check_factor(S, *dpotrf(S, lower=1), COND_LIMIT)
         assert COND_LIMIT < exc.value.condition < np.inf
 
 
@@ -399,7 +382,7 @@ class TestOneDimAgainstGridFilter:
         a, q, c, r = 0.97, 0.08, 1.0, 0.4
         rng = np.random.default_rng(21)
         ys = rng.normal(0, 1.0, 20)
-        model = LinearModel([[a]], np.zeros((1, 1)), [[c]], [[q]], [[r]])
+        model = LinearModel([[a]], [[c]], [[q]], [[r]])
         state = GaussianState([0.5], [[1.0]])
         means = []
         for y in ys:
@@ -432,10 +415,6 @@ class TestBuildModels:
         assert np.array_equal(model.C @ x, x[:4])
         assert np.array_equal(model.Rvv, 25.0 * np.eye(4))
 
-    def test_no_control_input(self):
-        model = build_track_model()
-        assert np.array_equal(model.B, np.zeros((8, 1)))
-
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ContractViolationError):
             build_cv_model(1, 0.0, 1.0, 1.0)
@@ -461,14 +440,14 @@ class TestBuildModels:
                 for b in range(2):
                     Rww[axis[a], axis[b]] = accel_var * (g[a] * g[b])
         model = build_cv_model(k, dt, accel_var, meas_var)
-        want = (A, np.zeros((n, 1)), C, Rww, meas_var * np.eye(k))
-        for got, expected in zip((model.A, model.B, model.C, model.Rww, model.Rvv), want):
+        want = (A, C, Rww, meas_var * np.eye(k))
+        for got, expected in zip((model.A, model.C, model.Rww, model.Rvv), want):
             assert got.shape == expected.shape and got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
 
     def test_cv_model_arrays_are_read_only(self):
         model = build_track_model()
-        for a in (model.A, model.B, model.C, model.Rww, model.Rvv):
+        for a in (model.A, model.C, model.Rww, model.Rvv):
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
 
@@ -518,7 +497,7 @@ def stacked_center_update(draw):
     base = build_track_model()
     C = np.vstack([base.C] * m)
     R = np.diag(np.repeat(r, base.meas_dim))
-    model = LinearModel(base.A, base.B, C, base.Rww, R)
+    model = LinearModel(base.A, C, base.Rww, R)
     state = GaussianState(rng.normal(0, 100, 8), oracles.spd_with_cond(rng, 8, log_cond, log_scale))
     y = C @ state.mean + rng.normal(0, 10, C.shape[0])
     return model, state, y
@@ -538,8 +517,7 @@ class TestStackedUpdateOracle:
 
 def _tiny(**kw):
     """LinearModel arguments of a 2-state, 1-output model, with ``kw`` replacing some."""
-    return {"A": np.eye(2), "B": np.zeros((2, 1)), "C": np.ones((1, 2)), "Rww": np.eye(2),
-            "Rvv": np.eye(1), **kw}
+    return {"A": np.eye(2), "C": np.ones((1, 2)), "Rww": np.eye(2), "Rvv": np.eye(1), **kw}
 
 
 class TestRefusals:
@@ -564,12 +542,6 @@ class TestRefusals:
                      r"Rww shape \(3, 3\) != \(2, 2\)", id="Rww-shape"),
         pytest.param(lambda: LinearModel(**_tiny(Rvv=np.eye(2))),
                      r"Rvv shape \(2, 2\) != \(1, 1\)", id="Rvv-shape"),
-        pytest.param(lambda: kf_predict(GaussianState(np.zeros(2), np.eye(2)),
-                                        LinearModel(**_tiny()), control=[1.0, 2.0]),
-                     r"control shape \(2,\) != \(1,\)", id="control-shape"),
-        pytest.param(lambda: kf_predict(GaussianState(np.zeros(2), np.eye(2)),
-                                        LinearModel(**_tiny()), control=[np.nan]),
-                     r"control contains non-finite entries", id="control-nonfinite"),
         pytest.param(lambda: kf_update(GaussianState(np.zeros(3), np.eye(3)),
                                        LinearModel(**_tiny()), [1.0]),
                      r"state dim 3 != model state dim 2", id="update-state-dim"),
