@@ -28,6 +28,7 @@ from habdf import (
     adapt_rvv,
     build_cv_model,
     build_track_model,
+    consensus_distance,
     kf_predict,
     kf_update,
     make_pipeline,
@@ -504,6 +505,21 @@ class TestPipeline:
         with pytest.raises(InsufficientDetectorsError,
                            match=f"^majority voting needs at least 3 detectors, got {n}$"):
             make_pipeline(n, build_track_model())
+
+    @pytest.mark.parametrize("n", [2, 0])
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda m, n: consensus_distance([BoundingBox(0.0, 0.0, 1.0, 1.0)] * n, 0),
+                     id="consensus_distance"),
+        pytest.param(lambda m, n: FusionCenter(m, n), id="center"),
+        pytest.param(lambda m, n: Pipeline([m] * n), id="pipeline"),
+        pytest.param(lambda m, n: make_pipeline(n, m), id="make_pipeline"),
+    ])
+    def test_every_owner_of_the_minimum_refuses_alike(self, build, n):
+        # One check, so each refusal comes before the caller indexes or builds
+        # anything: an empty model list or box list never reaches models[0].
+        with pytest.raises(InsufficientDetectorsError,
+                           match=f"^majority voting needs at least 3 detectors, got {n}$"):
+            build(build_track_model(), n)
 
     def test_model_list_length_must_match(self):
         with pytest.raises(ContractViolationError):
