@@ -18,7 +18,13 @@ class HabdfError(Exception):
 
 
 class ContractViolationError(HabdfError, ValueError):
-    """An argument violates a documented precondition (shape, sign, finiteness)."""
+    """An argument violates a documented precondition (shape, sign, finiteness). ``names``
+    holds the arguments the refusal blames, in its message's order; ``detector`` is the
+    position of the one detector whose entry a loop over detectors refused, else None."""
+
+    def __init__(self, message: str, names: tuple = (), detector: int | None = None):
+        super().__init__(message)
+        self.names, self.detector = names, detector
 
 
 class DegenerateGeometryError(HabdfError):
@@ -58,11 +64,11 @@ _RULES = {
 }
 
 
-def _setting(name: str, value, rule: str):
-    """``value`` as given if it is a real number keeping ``rule``, a key of _RULES
-    (an integer rule takes Python and numpy ints, not ``2.0``); anything else, a str,
-    None or NaN included, raises ContractViolationError "<name> must be <rule>, got <value>"."""
+def _setting(name: str, value, rule: str, detector: int | None = None):
+    """``value`` as given if it is a real number keeping ``rule``, a key of _RULES (an integer
+    rule takes Python and numpy ints, not ``2.0``); else, a str, None or NaN too, raises
+    ContractViolationError "<name> must be <rule>, got <value>" blaming name at ``detector``."""
     if not (isinstance(value, numbers.Real) and _RULES[rule](value)):
         shown = value if isinstance(value, numbers.Real) else repr(value)
-        raise ContractViolationError(f"{name} must be {rule}, got {shown}")
+        raise ContractViolationError(f"{name} must be {rule}, got {shown}", (name,), detector)
     return value

@@ -79,16 +79,16 @@ class FusionConfig:
         largest noise scale, ``gamma * (omega0 + 2 * omega) + delta`` (w_d at
         its top, w_M below 1), overflows is refused, naming each term that at
         its default of 1 would keep the scale finite (every term above 1 if
-        none would)."""
+        none would). Each refusal carries the refused detector's position."""
         out = []
         for name, val in (("gamma", self.gamma), ("delta", self.delta)):
             arr = np.asarray(val, dtype=object)  # each entry as given, a str or None too
             if arr.ndim and arr.shape != (n,):
                 raise ContractViolationError(f"{name} has {arr.size} entries for {n} detectors")
-            vals = [float(_setting(name, v, "> 0 and finite"))
-                    for v in (arr.tolist() if arr.ndim else [arr.item()] * n)]
+            vals = [float(_setting(name, v, "> 0 and finite", i))
+                    for i, v in enumerate(arr.tolist() if arr.ndim else [arr.item()] * n)]
             out.append(vals)
-        for g, d in zip(*out):
+        for i, (g, d) in enumerate(zip(*out)):
             terms = {"gamma": g, "omega0": self.vote.omega0, "omega": self.vote.omega, "delta": d}
             if not math.isfinite(_noise_top(**terms)):
                 big = [k for k, v in terms.items() if v > 1.0]
@@ -96,7 +96,7 @@ class FusionConfig:
                 raise ContractViolationError(
                     f"{' and '.join(bad)} overflow{'s' * (len(bad) == 1)} the largest noise scale "
                     "gamma * (omega0 + 2 * omega) + delta, "
-                    f"got {' and '.join(str(terms[k]) for k in bad)}")
+                    f"got {' and '.join(str(terms[k]) for k in bad)}", tuple(bad), i)
         return out[0], out[1]
 
 

@@ -253,7 +253,8 @@ def _init_var(init_var) -> float:
     """``init_var`` as a float, refused unless positive and ``init_var I`` symmetrizes finitely."""
     _setting("init_var", init_var, "> 0 and finite")
     if not math.isfinite(2.0 * float(init_var)):
-        raise ContractViolationError(f"init_var overflows 2 * init_var, got {init_var}")
+        raise ContractViolationError(f"init_var overflows 2 * init_var, got {init_var}",
+                                     ("init_var",))
     return float(init_var)
 
 

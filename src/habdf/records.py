@@ -9,8 +9,8 @@ typed. Unknown keys are rejected outright to prevent silent misconfiguration.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import functools
 import math
 import os
 import re
@@ -357,44 +357,39 @@ def parse_grid(specs) -> dict[str, list]:
 
 
 def _per_detector(cfg: dict, n: int, base: str, indexed: str):
-    """``cfg[base]``, or a tuple over detectors 1..n when any ``indexed``
-    key (formatted with the detector's 1-based index) overrides it."""
-    per = [cfg.get(indexed.format(i)) for i in range(1, n + 1)]
-    if any(v is not None for v in per):
-        return tuple(cfg[base] if v is None else v for v in per)
-    return cfg[base]
+    """``cfg[base]`` and ``base``, or, when any ``indexed`` key (formatted with
+    the detector's 1-based index) overrides it, a tuple over detectors 1..n of
+    the values and one of the keys they come from."""
+    keys = [k if k in cfg else base for k in map(indexed.format, range(1, n + 1))]
+    if keys != [base] * n:
+        return tuple(cfg[k] for k in keys), tuple(keys)
+    return cfg[base], base
 
 
-# The last parts of the keys that an argument named in an error message reads.
-_ARG_KEYS = {"lam": {"lambda"}, "xi": {"confidence"}}
+# The key an argument is read from, by the argument's name (the plant's dt is run.dt).
+_ARG_KEYS = {**{k.rpartition(".")[2]: k for k in CONFIG_SCHEMA},
+             "dt": "filter.dt", "lam": "vote.lambda", "xi": "expert.confidence"}
 
 
-def _naming_keys(build):
-    """``build(cfg, ...)``, re-raising a ContractViolationError as a ConfigError
-    that names the keys of ``cfg`` holding each argument its message starts
-    with (``a and b overflow ..., got 1.0 and 2.0`` starts with two); of
-    several keys for one argument, the ones whose value the message quotes."""
-    @functools.wraps(build)
-    def wrapped(cfg, *args, **kwargs):
-        try:
-            return build(cfg, *args, **kwargs)
-        except ContractViolationError as exc:
-            msg, keys = str(exc), []
-            names = re.match(r"\S+(?: and \S+)*", msg)[0].split(" and ")
-            quoted = msg.rpartition("got ")[2].split(" and ") + [None] * len(names)
-            for arg, got in zip(names, quoted):
-                held = [k for k in cfg if _ARG_KEYS.get(arg, {arg}) & set(k.split("."))]
-                keys += [k for k in held if str(cfg[k]) == got] or held
-            raise ConfigError(f"{', '.join(keys or ['config'])}: {msg}") from None
-    return wrapped
+@contextlib.contextmanager
+def _naming(keys: dict):
+    """Yield ``keys``, re-raising a ContractViolationError as a ConfigError that names,
+    for each argument it blames, the key ``keys`` holds for it: of a per-detector
+    argument's tuple, the refused detector's; of an argument no key set, none."""
+    try:
+        yield keys
+    except ContractViolationError as exc:
+        held = [k[exc.detector] if isinstance(k, tuple) else k for k in map(keys.get, exc.names)]
+        raise ConfigError(f"{', '.join(filter(None, held)) or 'config'}: {exc}") from None
 
 
-def _fusion_from_config(cfg: dict, n: int, dof: int, reads=None) -> FusionConfig:
-    """Fusion settings for n detectors whose measurements have ``dof`` entries.
-    Expert xi is the ``dof``-dof chi-square root at expert.confidence. A key
-    the config sets outside the groups in ``reads`` (fuse's, when given) is
-    refused, naming its line when a file set it; so is an indexed key naming
-    no detector in 1..n, as the readers spell it."""
+def _fusion_from_config(cfg: dict, n: int, dof: int, keys: dict, reads=None) -> FusionConfig:
+    """Fusion settings for n detectors whose measurements have ``dof`` entries,
+    recording the gains' keys in ``keys``. Expert xi is the ``dof``-dof
+    chi-square root at expert.confidence. A key the config sets outside the
+    groups in ``reads`` (fuse's, when given) is refused, naming its line when a
+    file set it; so is an indexed key naming no detector in 1..n, as the
+    readers spell it."""
     lines = getattr(cfg, "lines", {})
     for key in (*lines, *(k for k in cfg if k not in CONFIG_SCHEMA)):
         if reads and key.split(".")[0] not in reads:
@@ -403,9 +398,11 @@ def _fusion_from_config(cfg: dict, n: int, dof: int, reads=None) -> FusionConfig
     names = set(map(str, range(1, n + 1)))
     if bad := sorted(k for k in cfg if (m := _INDEX.match(k)) and m[1] not in names):
         raise ConfigError(f"keys index detectors outside 1..{n}: {', '.join(bad)}")
+    gamma, keys["gamma"] = _per_detector(cfg, n, "fusion.gamma", "fusion.gamma.{}")
+    delta, keys["delta"] = _per_detector(cfg, n, "fusion.delta", "fusion.delta.{}")
     return FusionConfig(
-        gamma=_per_detector(cfg, n, "fusion.gamma", "fusion.gamma.{}"),
-        delta=_per_detector(cfg, n, "fusion.delta", "fusion.delta.{}"),
+        gamma=gamma,
+        delta=delta,
         cov_floor=cfg["fusion.cov_floor"],
         stale_after=cfg["fusion.stale_after"],
         vote=VoteConfig(
@@ -415,13 +412,6 @@ def _fusion_from_config(cfg: dict, n: int, dof: int, reads=None) -> FusionConfig
     )
 
 
-@_naming_keys
-def _fault_profile(keys: dict) -> FaultProfile:
-    """A sensor's FaultProfile from its own ``sensor.<i>.*`` keys, which alone a refusal names."""
-    return FaultProfile(**{k.rpartition(".")[2]: v for k, v in keys.items()})
-
-
-@_naming_keys
 def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
     """Build the simulation scenario; requires sensors.count >= 3. A value the
     scenario or its run refuses raises ConfigError naming its key."""
@@ -431,32 +421,37 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> SimScenario:
     if count < 3:
         raise ConfigError(f"sensors.count must be >= 3, got {count}")
     names = (*_FAULT_FIELDS, "shock_start", "shock_end")  # an unset key takes FaultProfile's 0
-    faults = tuple(_fault_profile({k: cfg[k] for f in names if (k := f"sensor.{i}.{f}") in cfg})
-                   for i in range(1, count + 1))
-    scenario = SimScenario(
-        frames=cfg["run.frames"],
-        plant=SecondOrderPlant(
-            cfg["plant.natural_freq"], cfg["plant.damping"], cfg["plant.gain"], cfg["run.dt"],
-        ),
-        fusion=_fusion_from_config(cfg, count, dof=1),
-        start_at_steady=cfg["plant.start_at_steady"],
-        setpoint_kind=cfg["setpoint.kind"],
-        setpoint_amplitude=cfg["setpoint.amplitude"],
-        setpoint_period=cfg["setpoint.period"],
-        setpoint_value=cfg["setpoint.value"],
-        faults=faults,
-        filter_dt=cfg["filter.dt"],
-        accel_var=cfg["filter.accel_var"],
-        meas_var=_per_detector(cfg, count, "filter.meas_var", "sensor.{}.meas_var"),
-        init_var=cfg["filter.init_var"],
-        seed=cfg["run.seed"] if seed is None else seed,
-    )
-    setpoint_profile(scenario.setpoint_kind, 1, period=scenario.setpoint_period)
-    _pipeline(scenario)
+    faults = []
+    for i in range(1, count + 1):  # each sensor's faults under its own keys
+        with _naming({f: k for f in names if (k := f"sensor.{i}.{f}") in cfg}) as keys:
+            faults.append(FaultProfile(**{f: cfg[k] for f, k in keys.items()}))
+    with _naming({**_ARG_KEYS, "dt": "run.dt"}):
+        plant = SecondOrderPlant(cfg["plant.natural_freq"], cfg["plant.damping"],
+                                 cfg["plant.gain"], cfg["run.dt"])
+    with _naming(dict(_ARG_KEYS)) as keys:
+        fusion = _fusion_from_config(cfg, count, 1, keys)
+        mv, keys["meas_var"] = _per_detector(cfg, count, "filter.meas_var", "sensor.{}.meas_var")
+        scenario = SimScenario(
+            frames=cfg["run.frames"],
+            plant=plant,
+            fusion=fusion,
+            start_at_steady=cfg["plant.start_at_steady"],
+            setpoint_kind=cfg["setpoint.kind"],
+            setpoint_amplitude=cfg["setpoint.amplitude"],
+            setpoint_period=cfg["setpoint.period"],
+            setpoint_value=cfg["setpoint.value"],
+            faults=tuple(faults),
+            filter_dt=cfg["filter.dt"],
+            accel_var=cfg["filter.accel_var"],
+            meas_var=mv,
+            init_var=cfg["filter.init_var"],
+            seed=cfg["run.seed"] if seed is None else seed,
+        )
+        setpoint_profile(scenario.setpoint_kind, 1, period=scenario.setpoint_period)
+        _pipeline(scenario)
     return scenario
 
 
-@_naming_keys
 def tracking_setup_from_config(cfg: dict, n_detectors: int):
     """Fusion setup for bounding-box replay: (model, FusionConfig, init_var).
 
@@ -464,7 +459,9 @@ def tracking_setup_from_config(cfg: dict, n_detectors: int):
     4-dof threshold. Only filter.*, expert.*, vote.* and fusion.* keys may be
     set, and a value a pipeline refuses raises ConfigError naming its key.
     """
-    fusion = _fusion_from_config(cfg, n_detectors, 4, ("filter", "expert", "vote", "fusion"))
-    model = build_cv_model(4, cfg["filter.dt"], cfg["filter.accel_var"], cfg["filter.meas_var"])
-    FusionCenter(model, n_detectors, fusion, cfg["filter.init_var"])  # refuses gains, init_var
+    with _naming(dict(_ARG_KEYS)) as keys:
+        fusion = _fusion_from_config(cfg, n_detectors, 4, keys, ("filter", "expert", "vote",
+                                                                 "fusion"))
+        model = build_cv_model(4, cfg["filter.dt"], cfg["filter.accel_var"], cfg["filter.meas_var"])
+        FusionCenter(model, n_detectors, fusion, cfg["filter.init_var"])  # refuses gains, init_var
     return model, fusion, cfg["filter.init_var"]

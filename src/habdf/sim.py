@@ -141,7 +141,7 @@ class FaultProfile:
         start, end = self.shock_start, self.shock_end
         if _setting("shock_start", start, "an integer") > _setting("shock_end", end, "an integer"):
             raise ContractViolationError("shock_start and shock_end must be ordered, "
-                                         f"got {start} and {end}")
+                                         f"got {start} and {end}", ("shock_start", "shock_end"))
 
 
 def inject_faults(clean, profile: FaultProfile, seed: int = 0) -> np.ndarray:
@@ -302,7 +302,13 @@ def _pipeline(scenario: SimScenario):
     n = len(scenario.faults)
     dt, accel_var = float(scenario.filter_dt), float(scenario.accel_var)
     meas_vars = np.broadcast_to(np.asarray(scenario.meas_var, dtype=float), (n,)).tolist()
-    models = [_cv_model(1, dt, accel_var, mv) for mv in meas_vars]
+    models = []
+    for i, mv in enumerate(meas_vars):
+        try:
+            models.append(_cv_model(1, dt, accel_var, mv))
+        except ContractViolationError as exc:
+            exc.detector = i  # the sensor whose model was refused
+            raise
     return make_pipeline(n, models, scenario.fusion, scenario.init_var)
 
 

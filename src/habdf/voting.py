@@ -109,8 +109,8 @@ class VoteConfig:
             v = _setting(name, getattr(self, name), ">= 0 and finite")
             object.__setattr__(self, name, float(v))
         if not math.isfinite(self.omega0 + 2.0 * self.omega):
-            raise ContractViolationError(
-                f"omega overflows the largest vote penalty omega0 + 2 * omega, got {self.omega}")
+            raise ContractViolationError("omega overflows the largest vote penalty omega0 + "
+                                         f"2 * omega, got {self.omega}", ("omega",))
 
 
 def vote_weight(min_d: float, config: VoteConfig | None = None) -> float:

@@ -428,6 +428,19 @@ class TestConfigKeysAndValues:
         ("fusion.delta.3 = 1.7e308\nvote.omega = 1e307\nfusion.gamma = 1",
          "vote.omega, fusion.delta.3: omega and delta overflow the largest noise scale "
          "gamma * (omega0 + 2 * omega) + delta, got 1e+307 and 1.7e+308"),
+        # Nor the key of a valid detector's gain that holds the same number.
+        ("vote.omega0 = 1e307\nfusion.gamma = 2\nfusion.gamma.3 = 0.5\n"
+         "fusion.delta.1 = 1.7e308\nfusion.delta.3 = 1.7e308",
+         "vote.omega0, fusion.delta.1: omega0 and delta overflow the largest noise scale "
+         "gamma * (omega0 + 2 * omega) + delta, got 1e+307 and 1.7e+308"),
+        # The plant's dt is run.dt and the filter's filter.dt; the plant refuses first.
+        ("run.dt = 0\nfilter.dt = 0", "run.dt: dt must be > 0 and finite, got 0.0"),
+        # The first sensor refused, not every sensor holding the same number.
+        ("sensor.1.meas_var = -1\nsensor.2.meas_var = -1",
+         "sensor.1.meas_var: meas_var must be >= 0 and finite, got -1.0"),
+        # An unset window end is named by no key.
+        ("sensor.2.shock_start = 5", "sensor.2.shock_start: shock_start and shock_end must be "
+                                     "ordered, got 5 and 0"),
     ])
     def test_out_of_range_scenario_value_exits_2_naming_its_key(self, tmp_path, capsys, line,
                                                                 named):

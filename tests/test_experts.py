@@ -289,8 +289,9 @@ class TestBlockStateReports:
         with pytest.raises(ContractViolationError, match="cov overflows when symmetrized"):
             GaussianState(np.zeros(8), init_var * np.eye(8))
         want = f"init_var overflows 2 * init_var, got {init_var}"
-        with pytest.raises(ContractViolationError, match=f"^{re.escape(want)}$"):
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(want)}$") as info:
             Expert(build_track_model(), init_var=init_var)
+        assert info.value.names == ("init_var",)
         assert Expert(build_track_model(), init_var=8.98e307).init_var == 8.98e307
 
 

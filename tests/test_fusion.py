@@ -141,6 +141,9 @@ class TestFusionConfig:
             cfg.gains(3)
         assert str(info.value) == (f"{named} the largest noise scale gamma * "
                                    f"(omega0 + 2 * omega) + delta, got {got}")
+        assert info.value.names == tuple(named.rpartition(" ")[0].split(" and "))
+        # The first detector whose scale overflows: 0 for scalar gains.
+        assert info.value.detector == {(1.0, 1e308, 1.0): 1, (1.0, 1.0, 3.0): 2}.get(gamma, 0)
 
     def test_largest_finite_noise_scale_is_accepted(self):
         # gamma * (omega0 + 2 * omega) + delta = 1e308 * 1.0 + 1.0 stays finite.
@@ -160,8 +163,9 @@ class TestFusionCenterBasics:
     def test_bad_init_var_is_refused_at_construction(self, init_var, message):
         # The first state's init_var I would overflow when GaussianState
         # symmetrizes it; the centre refuses the setting before any frame.
-        with pytest.raises(ContractViolationError, match=f"^{message}$"):
+        with pytest.raises(ContractViolationError, match=f"^{message}$") as info:
             FusionCenter(build_track_model(), 3, init_var=init_var)
+        assert info.value.names == ("init_var",)
 
     def test_returns_none_until_anything_seen(self):
         center = FusionCenter(build_track_model(), 3)
@@ -772,8 +776,9 @@ class TestAtomicStep:
         # init_var I would overflow when symmetrized; the setting is refused
         # once, before any pipeline exists to step.
         with pytest.raises(ContractViolationError,
-                           match=r"^init_var overflows 2 \* init_var, got 1e\+308$"):
+                           match=r"^init_var overflows 2 \* init_var, got 1e\+308$") as info:
             make_pipeline(3, build_track_model(), init_var=1e308)
+        assert info.value.names == ("init_var",)
 
     def test_cond_limit_refuses_update_frames_only(self):
         # The first frame pins the centre's positions to about rvv / 3 and

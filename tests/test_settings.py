@@ -100,6 +100,7 @@ def test_each_site_refuses_a_bad_setting_in_the_one_wording(name, call, value):
             call(value)
     assert re.fullmatch(rf"{name} must be (?:{ONE_WORDING}), got {re.escape(shown)}",
                         str(info.value)), str(info.value)
+    assert info.value.names == (name,)
 
 
 @pytest.mark.parametrize("value, rule", [

@@ -173,6 +173,7 @@ class TestVoteWeight:
             VoteConfig(omega0=omega0, omega=omega)
         assert str(info.value) == ("omega overflows the largest vote penalty omega0 + 2 * omega, "
                                    f"got {omega}")
+        assert info.value.names == ("omega",)
 
     @pytest.mark.parametrize("num", [float, np.float64])
     def test_largest_finite_top_is_accepted_and_reached(self, num):
