@@ -70,11 +70,10 @@ def _sim_summary_rows(result):
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    scenario = scenario_from_config(cfg, seed=args.seed)
-    result = run_sim_experiment(scenario)
     out = args.out or cfg.get("run.out")
     if not out:
         raise ConfigError("no output path: pass --out or set run.out in the config")
+    result = run_sim_experiment(scenario_from_config(cfg, seed=args.seed))
     header, rows = _sim_frame_rows(result)
     write_csv(out, header, rows)
     summary_out = _summary_path(out)
@@ -166,11 +165,11 @@ def cmd_sweep(args) -> int:
             f"grid has {cells} cells (> {SWEEP_CELL_LIMIT}); pass --force to run anyway"
         )
     header = keys + ["fused_rmse", "best_sensor_rmse", "mean_wd", "mean_wM", "mean_rvv"]
+    # Every cell's scenario first, so a refused cell stops the sweep before any cell runs.
+    built = [(combo, scenario_from_config({**cfg, **dict(zip(keys, combo))}, seed=args.seed))
+             for combo in itertools.product(*(grid[k] for k in keys))]
     rows = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        cell_cfg = dict(cfg)
-        cell_cfg.update(zip(keys, combo))
-        scenario = scenario_from_config(cell_cfg, seed=args.seed)
+    for combo, scenario in built:
         result = run_sim_experiment(scenario)
         rows.append(list(combo) + [
             result.fused_rmse(),

@@ -46,6 +46,15 @@ def adapt_rvv(w_d: float, w_M: float, gamma: float = 1.0, delta: float = 1.0,
     return float(max(gamma * w_d + delta * w_M, cov_floor))
 
 
+def _each(name: str, value, n: int) -> list:
+    """The n entries, each as given (a str or None too), of a setting holding one value for
+    every detector or one per detector; else "<name> has <size> entries for <n> detectors"."""
+    arr = np.asarray(value, dtype=object)
+    if arr.ndim and arr.shape != (n,):
+        raise ContractViolationError(f"{name} has {arr.size} entries for {n} detectors", (name,))
+    return arr.tolist() if arr.ndim else [arr.item()] * n
+
+
 def _noise_top(gamma: float, omega0: float, omega: float, delta: float) -> float:
     """adapt_rvv's largest value: w_d at vote_weight's top, w_M below 1."""
     return gamma * (omega0 + 2.0 * omega) + delta
@@ -82,11 +91,8 @@ class FusionConfig:
         none would). Each refusal carries the refused detector's position."""
         out = []
         for name, val in (("gamma", self.gamma), ("delta", self.delta)):
-            arr = np.asarray(val, dtype=object)  # each entry as given, a str or None too
-            if arr.ndim and arr.shape != (n,):
-                raise ContractViolationError(f"{name} has {arr.size} entries for {n} detectors")
             vals = [float(_setting(name, v, "> 0 and finite", i))
-                    for i, v in enumerate(arr.tolist() if arr.ndim else [arr.item()] * n)]
+                    for i, v in enumerate(_each(name, val, n))]
             out.append(vals)
         for i, (g, d) in enumerate(zip(*out)):
             terms = {"gamma": g, "omega0": self.vote.omega0, "omega": self.vote.omega, "delta": d}
@@ -261,12 +267,4 @@ def make_pipeline(n_detectors: int, model, config: FusionConfig | None = None,
     sequence of per-detector ones differing only in ``meas_var``.
     """
     _at_least_three(_setting("n_detectors", n_detectors, "an integer"))
-    if isinstance(model, LinearModel):
-        models = [model] * n_detectors
-    else:
-        models = list(model)
-        if len(models) != n_detectors:
-            raise ContractViolationError(
-                f"got {len(models)} models for {n_detectors} detectors"
-            )
-    return Pipeline(models, config, init_var)
+    return Pipeline(_each("model", model, n_detectors), config, init_var)

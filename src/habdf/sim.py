@@ -13,6 +13,7 @@ use case steers a pan/tilt camera with it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ContractViolationError, _setting
-from .fusion import FusionConfig, make_pipeline
+from .fusion import FusionConfig, _each, make_pipeline
 from .kalman import build_cv_model
 
 __all__ = [
@@ -230,7 +231,9 @@ class SimScenario:
     The filter bank runs on the frame clock (``filter_dt`` frames), decoupled
     from the plant's physical ``plant.dt``. Bench measurements are scalar, so
     ``fusion.expert.xi`` should be a 1-dof threshold, as
-    ``records.scenario_from_config`` derives it.
+    ``records.scenario_from_config`` derives it. ``meas_var`` is one value
+    for every sensor or any sequence of one entry per sensor; another length
+    is refused here, and a value a model refuses when the run builds it.
     """
 
     frames: int
@@ -244,17 +247,14 @@ class SimScenario:
     faults: tuple[FaultProfile, ...] = ()
     filter_dt: float = 1.0
     accel_var: float = 0.05
-    meas_var: float | tuple = 4.0  # scalar broadcasts; tuple = per-sensor
+    meas_var: float | Sequence[float] = 4.0
     init_var: float = 1e4
     seed: int = 0
 
     def __post_init__(self):
         _setting("frames", self.frames, "an integer >= 1")
         _setting("seed", self.seed, "an integer >= 0")
-        if isinstance(self.meas_var, tuple) and len(self.meas_var) != len(self.faults):
-            raise ContractViolationError(
-                f"meas_var has {len(self.meas_var)} entries for {len(self.faults)} sensors"
-            )
+        _each("meas_var", self.meas_var, len(self.faults))
 
     def fusion_config(self) -> FusionConfig:
         """The fusion settings, ``self.fusion``."""
@@ -300,12 +300,10 @@ _cv_model = lru_cache(maxsize=64)(build_cv_model)
 def _pipeline(scenario: SimScenario):
     """The expert bank and fusion centre that a run of ``scenario`` steps."""
     n = len(scenario.faults)
-    dt, accel_var = float(scenario.filter_dt), float(scenario.accel_var)
-    meas_vars = np.broadcast_to(np.asarray(scenario.meas_var, dtype=float), (n,)).tolist()
     models = []
-    for i, mv in enumerate(meas_vars):
+    for i, mv in enumerate(_each("meas_var", scenario.meas_var, n)):
         try:
-            models.append(_cv_model(1, dt, accel_var, mv))
+            models.append(_cv_model(1, scenario.filter_dt, scenario.accel_var, mv))
         except ContractViolationError as exc:
             exc.detector = i  # the sensor whose model was refused
             raise

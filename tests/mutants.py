@@ -122,6 +122,9 @@ MUTANTS = [
     ("fusion.py", "._replace(r=first.r) != first", ".k != first.k", "bank-compares-axes-only"),
     # One helper owns the three-detector minimum of the vote, the centre and the bank.
     ("voting.py", "if n < 3:", "if n < 2:", "two-detectors-accepted"),
+    # One helper owns every per-detector setting's length: a gain, a bench
+    # sensor's meas_var and a bank's model list.
+    ("fusion.py", "if arr.ndim and arr.shape != (n,):", "if False:", "per-detector-length-unchecked"),
     # A refused setting names the key its argument was read from: the refused
     # detector's own key, and the plant's dt as run.dt.
     ("records.py", "k[exc.detector] if isinstance(k, tuple)", "k[0] if isinstance(k, tuple)",

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from habdf import FrameEval, TrackRecord, chi2_xi, summarize
+from habdf import FrameEval, TrackRecord, chi2_xi, cli, sim, summarize
 from habdf.cli import main
 from habdf.records import read_box_csv, read_csv_dicts, write_track_csv
 
@@ -108,9 +108,13 @@ class TestSimulate:
         assert f"error: Is a directory: {tmp_path}" in err
         assert "Traceback" not in err
 
-    def test_no_output_path_exits_2(self, small_scenario, capsys):
+    def test_no_output_path_exits_2(self, small_scenario, capsys, monkeypatch):
+        # Refused before the bench runs, not after.
+        runs = []
+        monkeypatch.setattr(cli, "run_sim_experiment", runs.append)
         assert main(["simulate", "--config", small_scenario]) == 2
         assert "output path" in capsys.readouterr().err
+        assert runs == []
 
     @pytest.mark.parametrize("line", ["expert.use_diag_approx = true", "expert.xi = 2.5"])
     def test_removed_expert_key_exits_2_naming_its_line(self, small_scenario, tmp_path,
@@ -652,6 +656,18 @@ class TestSweep:
         assert (rc, capsys.readouterr().err) == (
             2, "error: --seed and a run.seed grid axis cannot both set the seed\n")
         assert not out.exists()
+
+    def test_refused_last_cell_stops_the_sweep_before_any_cell_runs(
+            self, small_scenario, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_sim_experiment",
+                            lambda sc: runs.append(sc) or sim.run_sim_experiment(sc))
+        out = tmp_path / "o.csv"
+        rc = main(["sweep", "--config", small_scenario, "--grid", "run.seed=0,1,2",
+                   "--grid", "filter.accel_var=1,-1", "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: filter.accel_var: accel_var must be >= 0 and finite, got -1.0\n")
+        assert runs == [] and not out.exists()
 
     def test_unknown_grid_key_exit_2(self, small_scenario, tmp_path, capsys):
         rc = main(["sweep", "--config", small_scenario,

@@ -526,7 +526,7 @@ class TestPipeline:
             build(build_track_model(), n)
 
     def test_model_list_length_must_match(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="^model has 4 entries for 3 detectors$"):
             make_pipeline(3, [build_track_model()] * 4)
 
     def test_mixed_model_dims_rejected(self):

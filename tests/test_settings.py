@@ -103,6 +103,31 @@ def test_each_site_refuses_a_bad_setting_in_the_one_wording(name, call, value):
     assert info.value.names == (name,)
 
 
+# Each site that takes a per-detector value, one for every detector or one
+# entry per detector, refuses any other length in one wording.
+LENGTH_SITES = [  # (id, name, entries, call for 3 detectors)
+    ("FusionConfig.gains.gamma", "gamma", 2, lambda: FusionConfig(gamma=(1.0, 1.0)).gains(3)),
+    ("FusionConfig.gains.delta", "delta", 6, lambda: FusionConfig(delta=[[1.0] * 3] * 2).gains(3)),
+    ("make_pipeline.delta", "delta", 4,
+     lambda: make_pipeline(3, build_track_model(), FusionConfig(delta=(1.0,) * 4))),
+    ("make_pipeline.model-list", "model", 4, lambda: make_pipeline(3, [build_track_model()] * 4)),
+    ("make_pipeline.model-tuple", "model", 2, lambda: make_pipeline(3, (build_track_model(),) * 2)),
+    ("SimScenario.meas_var", "meas_var", 4,
+     lambda: SimScenario(10, PLANT, FusionConfig(), faults=(FaultProfile(),) * 3,
+                         meas_var=(4.0,) * 4)),
+]
+
+
+@pytest.mark.parametrize("name, entries, call", [
+    pytest.param(name, entries, call, id=site) for site, name, entries, call in LENGTH_SITES
+])
+def test_each_per_detector_site_refuses_a_wrong_length_in_the_one_wording(name, entries, call):
+    with pytest.raises(ContractViolationError) as info:
+        call()
+    assert str(info.value) == f"{name} has {entries} entries for 3 detectors"
+    assert info.value.names == (name,)
+
+
 @pytest.mark.parametrize("value, rule", [
     (np.uint8(2), "an integer >= 1"), (np.int64(3), "an integer >= 0"), (10**30, "an integer"),
     (-4, "an integer"), (True, "an integer >= 1"), (np.float32(0.5), "in (0, 1)"),

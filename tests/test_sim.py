@@ -1,5 +1,6 @@
 """Bench physics: plant, faults, PID loop, and the end-to-end experiment."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -293,8 +294,34 @@ class TestRunSimExperiment:
     def test_meas_var_tuple_needs_one_entry_per_sensor(self, meas_var):
         scenario = scenario_from_config(load_config("three_sensor_faults.scenario"))
         assert run_sim_experiment(replace(scenario, meas_var=(4.0,) * 3)).n_sensors == 3
-        with pytest.raises(ContractViolationError, match=f"{len(meas_var)} entries for 3"):
+        with pytest.raises(ContractViolationError,
+                           match=rf"^meas_var has {len(meas_var)} entries for 3 detectors$"):
             replace(scenario, meas_var=meas_var)
+
+    @pytest.mark.parametrize("meas_var", [[4.0, 4.0], np.array([4.0, 4.0])], ids=["list", "array"])
+    def test_meas_var_sequence_of_the_wrong_length_is_refused_at_construction(self, meas_var):
+        with pytest.raises(ContractViolationError,
+                           match="^meas_var has 2 entries for 3 detectors$") as info:
+            small_scenario(meas_var=meas_var)
+        assert info.value.names == ("meas_var",)
+        assert run_sim_experiment(small_scenario(meas_var=list(meas_var) + [4.0])).n_sensors == 3
+
+    # The bench hands each setting to its model as given, so text and None are
+    # refused as every other constructor refuses them; a meas_var entry names its sensor.
+    @pytest.mark.parametrize("kw, message, detector", [
+        ({"filter_dt": "1"}, "dt must be > 0 and finite, got '1'", None),
+        ({"filter_dt": None}, "dt must be > 0 and finite, got None", None),
+        ({"accel_var": "2"}, "accel_var must be >= 0 and finite, got '2'", None),
+        ({"meas_var": ("4", "4", "4")}, "meas_var must be >= 0 and finite, got '4'", 0),
+        ({"meas_var": None}, "meas_var must be >= 0 and finite, got None", 0),
+        ({"meas_var": [4.0, None, 4.0]}, "meas_var must be >= 0 and finite, got None", 1),
+    ], ids=["filter_dt-text", "filter_dt-None", "accel_var-text", "meas_var-text", "meas_var-None",
+            "meas_var-entry-None"])
+    def test_text_or_none_setting_is_refused_by_the_run(self, kw, message, detector):
+        with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$") as info:
+            run_sim_experiment(small_scenario(**kw))
+        if detector is not None:
+            assert info.value.detector == detector
 
     def test_result_shapes_and_defaults(self):
         sc = small_scenario()
