@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 import re
@@ -83,22 +84,24 @@ def format_value(x) -> str:
 
 def write_csv(path: str, header, rows) -> None:
     """Write the header and rows with LF newlines, each cell as format_value
-    writes it: one ``%`` string per row, built once per sequence of cell types."""
-    formats = {}
+    writes it: each run of rows that share a sequence of cell types with one
+    ``%``, checked for a comma, LF or CR only if it holds a text cell."""
     head = ",".join(map(format_value, header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(head)
-        for row in rows:
-            types = tuple(map(type, row))
-            if types not in formats:
-                formats[types] = ",".join(map(_cell_spec, types)) + "\n"
-            if bool in types or np.bool_ in types:
-                row = [("true" if c else "false") if t in _BOOLS else c
-                       for c, t in zip(row, types)]
-            line = formats[types] % tuple(row)
-            if line.count(",") >= len(types) or line.count("\n") > 1 or "\r" in line:
-                list(map(format_value, row))  # raises, naming the cell
-            fh.write(line)
+        for types, run in itertools.groupby(rows, lambda row: tuple(map(type, row))):
+            run, k = list(run), len(types)
+            cells = list(itertools.chain.from_iterable(run))
+            for j in (j for j, t in enumerate(types) if t in _BOOLS):
+                cells[j::k] = ["true" if c else "false" for c in cells[j::k]]
+            text = (",".join(map(_cell_spec, types)) + "\n") * len(run) % tuple(cells)
+            if any(t not in _BOOLS and _cell_spec(t) == "%s" for t in types) and (
+                    text.count(",") != len(run) * (k - 1) or text.count("\n") != len(run)
+                    or "\r" in text):
+                for row in run:  # the rows before the faulty cell, then a refusal naming it
+                    fh.write(",".join(map(format_value, row)) + "\n")
+            else:
+                fh.write(text)
 
 
 def _first(mask) -> int | None:
@@ -108,21 +111,30 @@ def _first(mask) -> int | None:
 
 
 def _read_rows(path: str, required=()):
-    """Header, data rows and their 1-based file lines; blank lines are skipped
-    but counted, and every row must have one cell per header column."""
+    """Header, data rows and the file's lines; blank lines are skipped, and
+    every row must have one cell per header column."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise RecordFormatError(f"{path}: empty file, expected a header row")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise RecordFormatError(f"{path}: missing columns {missing}")
-        numbered = [(reader.line_num, row) for row in reader if row]
-    lines, rows = zip(*numbered) if numbered else ((), ())
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise RecordFormatError(f"{path}: empty file, expected a header row")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise RecordFormatError(f"{path}: missing columns {missing}")
+    rows = list(filter(None, reader))
     if (bad := _first(np.fromiter(map(len, rows), int, len(rows)) != len(header))) is not None:
-        raise RecordFormatError(f"{path}: row {lines[bad]}: wrong field count")
+        raise RecordFormatError(f"{path}: row {_line(lines, bad)}: wrong field count")
     return header, rows, lines
+
+
+def _line(lines, index: int) -> int:
+    """The 1-based file line on which data row ``index`` of the file's
+    ``lines`` ends, counting blank lines and the lines inside quoted cells."""
+    reader = csv.reader(lines)
+    next(reader)
+    ends = (reader.line_num for row in reader if row)
+    return next(itertools.islice(ends, index, None))
 
 
 def read_csv_dicts(path: str, required=()):
@@ -135,6 +147,11 @@ def read_csv_dicts(path: str, required=()):
 def _column(cells, conv) -> np.ndarray:
     """``conv`` of each cell as an array, cut before the first cell that it
     refuses or, for ``int``, that int64 cannot hold."""
+    dtype = np.int64 if conv is int else float
+    try:
+        return np.fromiter(map(conv, cells), dtype, len(cells))
+    except (ValueError, OverflowError):  # a faulty cell: convert again, up to it
+        pass
     out = []
     try:
         out.extend(map(conv, cells))
@@ -142,7 +159,7 @@ def _column(cells, conv) -> np.ndarray:
         pass
     if conv is int and out and not -2**63 <= min(out) <= max(out) < 2**63:
         del out[next(k for k, x in enumerate(out) if not -2**63 <= x < 2**63):]
-    return np.array(out, dtype=np.int64 if conv is int else float)
+    return np.array(out, dtype=dtype)
 
 
 _VALID = {"true": True, "1": True, "false": False, "0": False}
@@ -198,7 +215,7 @@ def read_columns(path: str, track: bool = False):
         faults.append((bad, 9, message))
     if faults:
         bad, _, message = min(faults)
-        raise RecordFormatError(f"{path}: row {lines[bad]}: {message}")
+        raise RecordFormatError(f"{path}: row {_line(lines, bad)}: {message}")
     return (frames, boxes, ids, det, np.array(flags, dtype=bool)) if track else (frames, boxes)
 
 

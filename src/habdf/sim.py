@@ -294,7 +294,16 @@ def _sensor_seeds(run_seed: int, n: int) -> list[int]:
 
 # Models are immutable values, so the scenario check and the runs that follow
 # it share one per distinct (dt, accel_var, meas_var) instead of rebuilding it.
-_cv_model = lru_cache(maxsize=64)(build_cv_model)
+_cached_cv_model = lru_cache(maxsize=64)(build_cv_model)
+
+
+def _cv_model(*args):
+    """``build_cv_model(*args)``, shared while every argument is hashable; an
+    unhashable one is built uncached, so that build_cv_model refuses it."""
+    try:
+        return _cached_cv_model(*args)
+    except TypeError:
+        return build_cv_model(*args)
 
 
 def _pipeline(scenario: SimScenario):
@@ -305,7 +314,8 @@ def _pipeline(scenario: SimScenario):
         try:
             models.append(_cv_model(1, scenario.filter_dt, scenario.accel_var, mv))
         except ContractViolationError as exc:
-            exc.detector = i  # the sensor whose model was refused
+            if "meas_var" in exc.names:
+                exc.detector = i  # the sensor whose own meas_var was refused
             raise
     return make_pipeline(n, models, scenario.fusion, scenario.init_var)
 

@@ -131,6 +131,15 @@ MUTANTS = [
      "naming-ignores-detector"),
     ("records.py", 'with _naming({**_ARG_KEYS, "dt": "run.dt"}):', "with _naming(_ARG_KEYS):",
      "plant-dt-named-filter-dt"),
+    # The CSV writer formats each run of rows at once and checks a run holding
+    # a text cell; a refused row's file line is found by reading the lines again.
+    ("records.py", 'if any(t not in _BOOLS and _cell_spec(t) == "%s" for t in types) and (',
+     "if False and (", "writer-skips-text-cell-check"),
+    ("records.py", "ends = (reader.line_num for row in reader if row)",
+     "ends = (reader.line_num for row in reader)", "line-recovery-counts-blank-lines"),
+    ("records.py", "ends = (reader.line_num for row in reader if row)",
+     "ends = (k for k, line in enumerate(lines, 1) if k > 1 and line.strip())",
+     "line-recovery-counts-physical-lines"),
 ]
 
 

@@ -841,6 +841,13 @@ class TestRowwiseOracle:
         (["5,a,1,2,3,4,true", "5,a,1,2,3,4,true", "4,a,1,2,3,4,true"],
          "row 3: duplicate record for frame 5, detector 'a'"),
         (["0,a,1,2,3,4,true", "", "", "1,a,1,2,-3,4,true"], "row 5: negative box size"),
+        # A quoted detector_id that spans two file lines: a row is named by
+        # the line it ends on.
+        (['0,"x\ny",1,2,3,4,true', "", "1,a,1,x,3,4,true"], "row 5: bad v value 'x'"),
+        (['0,"x\ny",1,2,3,4,true', "1,a,1,2,3"], "row 4: wrong field count"),
+        (['0,"x\ny",1,2,3,4,true', "0,a,1,2,3,4,true", "", "0,a,1,2,3,4,true"],
+         "row 6: duplicate record for frame 0, detector 'a'"),
+        (["0,a,1,2,3,4,true", '1,"x\ny",1,2,-3,4,true'], "row 4: negative box size"),
         (["0,a,1,2,3,4,maybe", "99999999999999999999,a,1,2,3,4,true"],
          "row 2: valid must be true/false, got 'maybe'"),
     ])

@@ -105,6 +105,11 @@ class TestCsvRoundTrip:
         with pytest.raises(RecordFormatError, match=r"g\.csv: row 5: wrong field count"):
             read_csv_dicts(path)
 
+    def test_wrong_field_count_names_the_file_line_past_a_quoted_line_break(self, tmp_path):
+        path = write_lines(tmp_path / "g.csv", "x,y", '"a', 'b",2', "", "3")
+        with pytest.raises(RecordFormatError, match=r"g\.csv: row 5: wrong field count"):
+            read_csv_dicts(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_csv_dicts(str(tmp_path / "nope.csv"))
@@ -114,6 +119,50 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(RecordFormatError, match="empty"):
             read_csv_dicts(str(path))
+
+
+WRITER_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]) | st.floats()
+# One strategy per cell type the writer formats, each drawing cells of that type.
+WRITER_KINDS = [
+    st.integers(-2**63, 2**63 - 1),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    WRITER_FLOATS,
+    WRITER_FLOATS.map(np.float64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
+            max_size=4),
+]
+
+
+class TestWriteCsvRuns:
+    """The writer formats each run of rows sharing a sequence of cell types
+    at once; its bytes are the header and format_value of each cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_written_as_format_value_writes_each_cell(self, data):
+        kinds = st.lists(st.sampled_from(WRITER_KINDS), max_size=4)
+        sequences = data.draw(st.lists(kinds, min_size=1, max_size=3))
+        picks = data.draw(st.lists(st.integers(0, len(sequences) - 1), max_size=25))
+        rows = [[data.draw(kind) for kind in sequences[p]] for p in picks]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.csv"
+            write_csv(str(path), ["a", "b"], rows)
+            got = path.read_bytes()
+        want = "a,b\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
+        assert got == want.encode()
+
+    @pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb"])
+    def test_a_text_cell_inside_a_run_is_refused_by_name(self, tmp_path, cell):
+        rows = [[f"r{i}", i, 0.5, True] for i in range(7)]
+        rows[4][0] = cell
+        path = tmp_path / "g.csv"
+        with pytest.raises(RecordFormatError,
+                           match=f"^{re.escape(f'cell value {cell!r} would break the CSV layout')}$"):
+            write_csv(str(path), ["id", "n", "x", "ok"], rows)
+        assert path.read_text() == "id,n,x,ok\n" + "".join(
+            f"r{i},{i},0.5,true\n" for i in range(4))
 
 
 class TestReadTrackCsv:

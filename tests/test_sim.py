@@ -306,22 +306,28 @@ class TestRunSimExperiment:
         assert info.value.names == ("meas_var",)
         assert run_sim_experiment(small_scenario(meas_var=list(meas_var) + [4.0])).n_sensors == 3
 
-    # The bench hands each setting to its model as given, so text and None are
-    # refused as every other constructor refuses them; a meas_var entry names its sensor.
+    # The bench hands each setting to its model as given, so text, None and an
+    # unhashable value are refused as every other constructor refuses them; only
+    # a meas_var entry names its sensor.
     @pytest.mark.parametrize("kw, message, detector", [
         ({"filter_dt": "1"}, "dt must be > 0 and finite, got '1'", None),
         ({"filter_dt": None}, "dt must be > 0 and finite, got None", None),
+        ({"filter_dt": -1.0}, "dt must be > 0 and finite, got -1.0", None),
+        ({"filter_dt": [1.0]}, "dt must be > 0 and finite, got [1.0]", None),
         ({"accel_var": "2"}, "accel_var must be >= 0 and finite, got '2'", None),
+        ({"accel_var": [2.0]}, "accel_var must be >= 0 and finite, got [2.0]", None),
         ({"meas_var": ("4", "4", "4")}, "meas_var must be >= 0 and finite, got '4'", 0),
         ({"meas_var": None}, "meas_var must be >= 0 and finite, got None", 0),
         ({"meas_var": [4.0, None, 4.0]}, "meas_var must be >= 0 and finite, got None", 1),
-    ], ids=["filter_dt-text", "filter_dt-None", "accel_var-text", "meas_var-text", "meas_var-None",
-            "meas_var-entry-None"])
+        ({"meas_var": [4.0, 4.0, [4.0]]}, "meas_var must be >= 0 and finite, got [4.0]", 2),
+    ], ids=["filter_dt-text", "filter_dt-None", "filter_dt-negative", "filter_dt-list",
+            "accel_var-text", "accel_var-list", "meas_var-text", "meas_var-None",
+            "meas_var-entry-None", "meas_var-entry-list"])
     def test_text_or_none_setting_is_refused_by_the_run(self, kw, message, detector):
         with pytest.raises(ContractViolationError, match=f"^{re.escape(message)}$") as info:
             run_sim_experiment(small_scenario(**kw))
-        if detector is not None:
-            assert info.value.detector == detector
+        assert info.value.names == (message.split()[0],)
+        assert info.value.detector == detector
 
     def test_result_shapes_and_defaults(self):
         sc = small_scenario()
